@@ -132,6 +132,14 @@ struct PointsToCache {
   /// partition cost model per method. Cleared whenever Key changes.
   std::map<std::string, MethodSliceSummary> RejectedGates;
 };
+
+/// See Certifier.h. Store stays null until an open succeeds and is
+/// never reset afterwards, so a caller may keep the raw pointer it read
+/// under Mu. CertStore itself is not thread-safe: every use holds Mu.
+struct StoreHandle {
+  std::mutex Mu;
+  std::unique_ptr<store::CertStore> Store;
+};
 } // namespace detail
 } // namespace core
 } // namespace canvas
@@ -141,7 +149,8 @@ Certifier::Certifier(std::string_view SpecSource, EngineKind Engine,
                      const wp::DerivationOptions &DOpts,
                      const CertifierOptions &Opts)
     : Engine(Engine), Opts(Opts),
-      PTCache(std::make_shared<detail::PointsToCache>()) {
+      PTCache(std::make_shared<detail::PointsToCache>()),
+      StoreH(std::make_shared<detail::StoreHandle>()) {
   // Hashed before parsing so the store key covers the spec exactly as
   // written: any textual edit invalidates every derived entry.
   SpecHash = cert::fnv1a(reinterpret_cast<const uint8_t *>(SpecSource.data()),
@@ -1045,21 +1054,46 @@ CertificationReport Certifier::certify(const cj::Program &P,
   if (!EOpts.StorePath.empty())
     EOpts.EmitCertificates = true;
 
-  std::unique_ptr<store::CertStore> Store;
+  store::CertStore *Store = nullptr;
   std::map<std::string, store::StoreEntry> StoreHits;
   std::map<std::string, uint64_t> UnitHashes;
+  // Books the store's own activity since Before (its counters when the
+  // current store section began) on this call's report. The store
+  // outlives the call, so its StoreStats are cumulative over every
+  // call; each store section below holds StoreH->Mu, which makes the
+  // difference this call's own.
+  store::StoreStats Before;
+  auto BookStore = [&] {
+    const store::StoreStats &After = Store->stats();
+    Report.Store.Quarantined += After.Quarantined + After.SkippedInvalid -
+                                Before.Quarantined - Before.SkippedInvalid;
+    Report.Store.Writes += After.Writes - Before.Writes;
+    for (store::StoreIncident &I : Store->takeIncidents())
+      Report.Store.Incidents.push_back(std::move(I));
+  };
+  // The gating section: open the store on first use, then serve
+  // checker-gated hits. A store opened by this call books its recovery
+  // (quarantines, incidents) here, so Before stays zero for it.
+  std::unique_lock<std::mutex> StoreLock;
   if (!EOpts.StorePath.empty()) {
     Report.Store.Enabled = true;
     Report.Store.Path = EOpts.StorePath;
     Report.Store.ReadOnly = EOpts.StoreMode == store::StoreMode::ReadOnly;
-    try {
-      Store =
-          std::make_unique<store::CertStore>(EOpts.StorePath, EOpts.StoreMode);
-    } catch (const CertifyError &E) {
-      // A store that cannot open (or recover) is a robustness event,
-      // not a certification failure: record it and run storeless.
-      Report.Store.Incidents.push_back({"", "StoreIO", E.message()});
+    StoreLock = std::unique_lock<std::mutex>(StoreH->Mu);
+    if (StoreH->Store) {
+      Before = StoreH->Store->stats();
+    } else {
+      try {
+        StoreH->Store = std::make_unique<store::CertStore>(EOpts.StorePath,
+                                                           EOpts.StoreMode);
+      } catch (const CertifyError &E) {
+        // A store that cannot open (or recover) is a robustness event,
+        // not a certification failure: record it and run storeless.
+        // The failure is not kept, so the next call tries again.
+        Report.Store.Incidents.push_back({"", "StoreIO", E.message()});
+      }
     }
+    Store = StoreH->Store.get();
   }
   if (Store) {
     const uint64_t Ctx =
@@ -1117,17 +1151,10 @@ CertificationReport Certifier::certify(const cj::Program &P,
       ++Report.Store.Hits;
       StoreHits.emplace(Unit, std::move(*E));
     }
+    BookStore();
   }
-  auto FinalizeStore = [&] {
-    if (!Store)
-      return;
-    const store::StoreStats &SS = Store->stats();
-    Report.Store.Quarantined = SS.Quarantined + SS.SkippedInvalid;
-    Report.Store.Writes = SS.Writes;
-    std::vector<store::StoreIncident> Inc = Store->takeIncidents();
-    for (store::StoreIncident &I : Inc)
-      Report.Store.Incidents.push_back(std::move(I));
-  };
+  if (StoreLock)
+    StoreLock.unlock();
 
   // The degradation ladder, most precise/expensive first. The requested
   // engine is the first rung; with degradation on, every cheaper engine
@@ -1155,7 +1182,6 @@ CertificationReport Certifier::certify(const cj::Program &P,
       if (!Opts.Degrade) {
         Diags.error(SourceLoc(), "interprocedural certification requires a "
                                  "main() method");
-        FinalizeStore();
         return Report;
       }
       StageAttempt At;
@@ -1236,7 +1262,10 @@ CertificationReport Certifier::certify(const cj::Program &P,
           }
       }
       if (Store && K == Engine &&
-          EOpts.StoreMode == store::StoreMode::ReadWrite)
+          EOpts.StoreMode == store::StoreMode::ReadWrite) {
+        // The commit section.
+        std::lock_guard<std::mutex> Lock(StoreH->Mu);
+        Before = Store->stats();
         for (const store::StoreEntry &E :
              buildStoreEntries(Engine, UnitHashes, StoreHits, Report)) {
           try {
@@ -1248,7 +1277,8 @@ CertificationReport Certifier::certify(const cj::Program &P,
                 {E.Unit, "StoreIO", Err.message()});
           }
         }
-      FinalizeStore();
+        BookStore();
+      }
       return Report;
     } catch (const CertifyError &E) {
       At.Spend = Tok.spend();
@@ -1293,6 +1323,5 @@ CertificationReport Certifier::certify(const cj::Program &P,
   }
   for (const cj::CFGMethod &M : CFG.Methods)
     enumerateObligations(Abs, M, Note, Report.Checks);
-  FinalizeStore();
   return Report;
 }

@@ -294,6 +294,11 @@ namespace detail {
 /// cache is keyed by the structural program hash and shared across
 /// certify() calls on one Certifier.
 struct PointsToCache;
+/// The certifier's persistent store (defined in Certifier.cpp): opened
+/// by the first store-enabled certify() call and reused by every later
+/// one, so the open-time recovery pass runs once per certifier, not
+/// once per client. A failed open is not kept; the next call retries.
+struct StoreHandle;
 } // namespace detail
 
 /// A generated certifier: a derived abstraction bound to a component
@@ -332,6 +337,9 @@ private:
   /// Mutex-guarded; shared_ptr so the incomplete type needs no
   /// out-of-line destructor and copies of the certifier share the memo.
   std::shared_ptr<detail::PointsToCache> PTCache;
+  /// Mutex-guarded like PTCache; the mutex serializes concurrent
+  /// callers' store sections (hit gating, commits, report booking).
+  std::shared_ptr<detail::StoreHandle> StoreH;
 };
 
 } // namespace core

@@ -275,43 +275,60 @@ std::string CertStore::lockPath() const { return Root + "/LOCK"; }
 /// always hands the lock over; a bounded give-up only manufactured
 /// spurious storeless runs when N workers oversubscribe one core.
 /// ReadOnly stores and re-entrant scopes (LockHeld) take nothing.
+///
+/// LOCK is opened afresh for every acquisition and closed on release:
+/// flock binds to the inode behind the descriptor, so a descriptor kept
+/// from open time would go on locking an unlinked inode once the root
+/// is replaced (a backup restored under a long-lived instance) while
+/// other processes lock the new one.
 class CertStore::ScopedLock {
 public:
   explicit ScopedLock(CertStore &S) : S(S) {
-    if (S.Mode == StoreMode::ReadOnly || S.LockFd < 0 || S.LockHeld)
+    if (S.Mode == StoreMode::ReadOnly || S.LockHeld)
       return;
+    // O_CREAT is atomic across racing openers.
+    Fd = ::open(S.lockPath().c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
+    if (Fd < 0)
+      ioError("cannot open the store lock '" + S.lockPath() +
+              "': " + std::string(strerror(errno)));
     for (unsigned Attempt = 0; Attempt < 8; ++Attempt) {
-      if (::flock(S.LockFd, LOCK_EX | LOCK_NB) == 0) {
+      if (::flock(Fd, LOCK_EX | LOCK_NB) == 0) {
         S.LockHeld = true;
-        Owned = true;
         return;
       }
       if (errno != EWOULDBLOCK && errno != EINTR)
-        ioError("cannot lock the store: " + std::string(strerror(errno)));
+        fail();
       ++S.Stats.LockWaits;
       std::this_thread::sleep_for(std::chrono::milliseconds(1u << Attempt));
     }
-    while (::flock(S.LockFd, LOCK_EX) != 0) {
+    while (::flock(Fd, LOCK_EX) != 0) {
       if (errno != EINTR)
-        ioError("cannot lock the store: " + std::string(strerror(errno)));
+        fail();
     }
     S.LockHeld = true;
-    Owned = true;
   }
 
   ~ScopedLock() {
-    if (Owned) {
-      S.LockHeld = false;
-      ::flock(S.LockFd, LOCK_UN);
-    }
+    if (Fd < 0)
+      return;
+    S.LockHeld = false;
+    ::flock(Fd, LOCK_UN);
+    ::close(Fd);
   }
 
   ScopedLock(const ScopedLock &) = delete;
   ScopedLock &operator=(const ScopedLock &) = delete;
 
 private:
+  /// The constructor throws, so the destructor will not close Fd.
+  [[noreturn]] void fail() {
+    const std::string Why = strerror(errno);
+    ::close(Fd);
+    ioError("cannot lock the store: " + Why);
+  }
+
   CertStore &S;
-  bool Owned = false;
+  int Fd = -1; ///< Open on LOCK while this scope owns the lock.
 };
 
 CertStore::CertStore(std::string RootPath, StoreMode Mode)
@@ -325,38 +342,20 @@ CertStore::CertStore(std::string RootPath, StoreMode Mode)
     fs::create_directories(quarantineDir(), EC);
     if (EC)
       ioError("cannot create quarantine at '" + Root + "': " + EC.message());
-    // The lock file must exist before anything below can be guarded;
-    // O_CREAT is itself atomic across racing openers.
-    LockFd = ::open(lockPath().c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0644);
-    if (LockFd < 0)
-      ioError("cannot open the store lock '" + lockPath() + "'");
-    try {
-      ScopedLock L(*this);
-      const std::string Manifest = Root + "/MANIFEST";
-      if (!fs::exists(Manifest)) {
-        std::ofstream Out(Manifest, std::ios::binary);
-        Out << ManifestLine;
-        if (!Out)
-          ioError("cannot write the store manifest");
-      }
-      recover();
-    } catch (...) {
-      // The destructor will not run when the constructor throws; the
-      // lock fd must not leak into the (store-less) continuation.
-      ::close(LockFd);
-      LockFd = -1;
-      throw;
+    ScopedLock L(*this);
+    const std::string Manifest = Root + "/MANIFEST";
+    if (!fs::exists(Manifest)) {
+      std::ofstream Out(Manifest, std::ios::binary);
+      Out << ManifestLine;
+      if (!Out)
+        ioError("cannot write the store manifest");
     }
+    recover();
   } else {
     if (!fs::is_directory(Root, EC) || !fs::is_directory(entriesDir(), EC))
       ioError("read-only open of a missing store '" + Root + "'");
     recover();
   }
-}
-
-CertStore::~CertStore() {
-  if (LockFd >= 0)
-    ::close(LockFd);
 }
 
 void CertStore::recover() {

@@ -116,23 +116,34 @@ struct StoreReport {
 /// Concurrency model: one store directory may be shared by many
 /// PROCESSES (the sharded driver's workers). Every mutation — the
 /// recovery pass, each put() commit, each quarantine/evict — runs under
-/// an exclusive flock(2) on the dedicated LOCK file, acquired
-/// non-blocking with exponential backoff; exhausting the backoff throws
-/// CertifyError(StoreIO), which the certifier treats like any other
-/// store failure (degrade to re-analysis). The lock is on LOCK, not on
-/// journal.log: flock follows the open file description's inode, and
-/// recovery replaces the journal by rename — locking a file that gets
-/// renamed lets two processes each hold "the" lock on different inodes.
-/// LOCK is never renamed or removed, and the kernel drops the lock when
-/// a holder dies, so a crashed worker cannot wedge the store. Readers
-/// (get) take no lock: entries are only ever produced whole by rename,
-/// so a read sees a complete old or complete new frame.
+/// an exclusive flock(2) on the dedicated LOCK file: a few non-blocking
+/// attempts with backoff (counted in StoreStats::LockWaits), then a
+/// blocking wait. The lock is on LOCK, not on journal.log: flock follows
+/// the open file description's inode, and recovery replaces the journal
+/// by rename — locking a file that gets renamed lets two processes each
+/// hold "the" lock on different inodes. For the same reason LOCK is
+/// opened anew at every acquisition, so an instance whose root was
+/// replaced under it locks the LOCK other processes see. The store
+/// itself never renames or removes LOCK, and the kernel drops the lock
+/// when a holder dies, so a crashed worker cannot wedge the store.
+/// Readers (get) take no lock: entries are only ever produced whole by
+/// rename, so a read sees a complete old or complete new frame.
 ///
-/// Within one process a CertStore instance is still not thread-safe:
-/// core::Certifier gates hits and commits entries serially (the
-/// parallel fan-out only reads the pre-validated hit map). Concurrent
-/// threads must open their own instances, which then serialize through
-/// the same file lock.
+/// Lifetime: an instance is meant to live long — core::Certifier opens
+/// one per certifier, so one per shard worker process. Recovery runs
+/// once, at open: it sweeps stray temps and uncommitted journal intents
+/// and validates every frame. Everything read after that is validated
+/// at get() (frame, CRC, key; a bad frame is quarantined on the spot),
+/// which keeps commits by other processes and out-of-band edits of the
+/// root visible without an in-memory index. Temps left by a peer that
+/// crashed mid-commit wait for the next open; they can never be served,
+/// since get() reads only final entry names.
+///
+/// Within one process a CertStore instance is not thread-safe: callers
+/// serialize every use (core::Certifier holds a mutex around its store
+/// sections; the parallel fan-out only reads the pre-validated hit
+/// map). Instances of one root in several threads serialize their
+/// mutations through the file lock.
 class CertStore {
 public:
   /// Opens the store, creating the layout when absent (ReadWrite), and
@@ -142,10 +153,6 @@ public:
   /// cannot be brought to a sane state (or an open/recover fault is
   /// injected) — the caller continues without a store.
   CertStore(std::string RootPath, StoreMode Mode);
-
-  /// Releases the process lock file descriptor (any held flock is
-  /// already scoped; this only closes the fd).
-  ~CertStore();
 
   CertStore(const CertStore &) = delete;
   CertStore &operator=(const CertStore &) = delete;
@@ -200,10 +207,11 @@ public:
                          std::string &Error);
 
 private:
-  /// RAII exclusive flock on the LOCK file. Recursion-guarded: a
-  /// ScopedLock taken while this instance already holds the lock (e.g.
-  /// quarantineFile under recover) is a no-op, so the outer scope's
-  /// unlock is the only unlock.
+  /// RAII exclusive flock on the LOCK file, opened for the scope's
+  /// duration. Recursion-guarded: a ScopedLock taken while this
+  /// instance already holds the lock (e.g. quarantineFile under
+  /// recover) is a no-op, so the outer scope's unlock is the only
+  /// unlock.
   class ScopedLock;
   friend class ScopedLock;
 
@@ -220,7 +228,6 @@ private:
   StoreMode Mode;
   StoreStats Stats;
   std::vector<StoreIncident> Incidents;
-  int LockFd = -1;       ///< Open fd on LOCK (ReadWrite only).
   bool LockHeld = false; ///< This instance holds the exclusive flock.
 };
 

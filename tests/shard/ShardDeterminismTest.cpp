@@ -168,4 +168,42 @@ TEST_F(ShardDeterminismTest, TwiceKilledClientIsDegradedNeverDropped) {
   EXPECT_NE(Stream.str().find("\"status\":\"crashed\""), std::string::npos);
 }
 
+// Store-backed sharded runs merge to the serial storeless report, cold
+// and warm, and each client's StoreWrites counts only its own commits:
+// summed over a cold 4-shard run it equals the entry files on disk,
+// although every worker keeps one store open across its clients.
+TEST_F(ShardDeterminismTest, StoreRunsMatchSerialAndCountEachWrite) {
+  std::ostringstream SerialMerged, SerialStream;
+  ShardRunStats SerialStats;
+  std::string Error;
+  ASSERT_TRUE(runSerial(Corpus, Opts, SerialMerged, SerialStream, SerialStats,
+                        Error))
+      << Error;
+
+  DriverOptions O = Opts;
+  O.Shards = 4;
+  O.Worker.StorePath = Dir + "/store";
+  std::ostringstream Cold, ColdStream;
+  ShardRunStats ColdStats;
+  ASSERT_TRUE(runSharded(Corpus, O, Cold, ColdStream, ColdStats, Error))
+      << Error;
+  EXPECT_EQ(Cold.str(), SerialMerged.str());
+  uint64_t Files = 0;
+  for (const fs::directory_entry &DE :
+       fs::directory_iterator(O.Worker.StorePath + "/entries"))
+    Files += DE.path().extension() == ".cert";
+  EXPECT_GT(Files, 0u);
+  EXPECT_EQ(ColdStats.StoreWrites, Files);
+  EXPECT_EQ(ColdStats.StoreQuarantined, 0u);
+
+  std::ostringstream Warm, WarmStream;
+  ShardRunStats WarmStats;
+  ASSERT_TRUE(runSharded(Corpus, O, Warm, WarmStream, WarmStats, Error))
+      << Error;
+  EXPECT_EQ(Warm.str(), SerialMerged.str());
+  EXPECT_EQ(WarmStats.StoreMisses, 0u);
+  EXPECT_EQ(WarmStats.StoreWrites, 0u);
+  EXPECT_EQ(WarmStats.StoreHits, Files);
+}
+
 } // namespace

@@ -13,11 +13,15 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <fcntl.h>
+#include <sys/file.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -155,6 +159,66 @@ TEST(StoreContentionTest, ProcessCrashMidCommitAtEveryProbeNeverCorrupts) {
     EXPECT_TRUE(Re.get(makeEntry("After::m", 99).InputHash, "After::m"));
     fs::remove_all(Dir);
   }
+}
+
+// A long-lived instance whose root is replaced under it (a restored
+// backup: remove the root, copy the snapshot back) must lock the new
+// root's LOCK, not the unlinked inode it saw at open. The test holds
+// flock on the new LOCK; the instance's put must wait for it.
+TEST(StoreContentionTest, ReplacedRootLocksTheNewLockFile) {
+  const std::string Dir = freshDir("replaced");
+  const std::string Snapshot = Dir + "-snapshot";
+  fs::remove_all(Snapshot);
+  CertStore St(Dir, StoreMode::ReadWrite);
+  St.put(makeEntry("Before::m", 1));
+  fs::copy(Dir, Snapshot, fs::copy_options::recursive);
+  fs::remove_all(Dir);
+  fs::copy(Snapshot, Dir, fs::copy_options::recursive);
+
+  const int Fd = ::open((Dir + "/LOCK").c_str(), O_RDWR | O_CLOEXEC);
+  ASSERT_GE(Fd, 0);
+  ASSERT_EQ(::flock(Fd, LOCK_EX), 0);
+  const StoreEntry Late = makeEntry("Late::m", 2);
+  bool Threw = false;
+  std::thread Committer([&] {
+    try {
+      St.put(Late);
+    } catch (const CertifyError &) {
+      Threw = true;
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  // While the test holds the lock, the commit has not landed.
+  EXPECT_FALSE(fs::exists(Dir + "/entries/" +
+                          CertStore::entryFileName(Late.InputHash, Late.Unit)));
+  // A commit made under the test's lock lands too (the frame is written
+  // whole by rename, as put would).
+  const StoreEntry Held = makeEntry("Held::m", 3);
+  {
+    const std::vector<uint8_t> Frame = CertStore::frameEntry(Held);
+    const std::string Tmp = Dir + "/held.tmp";
+    std::ofstream Out(Tmp, std::ios::binary);
+    Out.write(reinterpret_cast<const char *>(Frame.data()),
+              static_cast<std::streamsize>(Frame.size()));
+    Out.close();
+    fs::rename(Tmp, Dir + "/entries/" +
+                        CertStore::entryFileName(Held.InputHash, Held.Unit));
+  }
+  ::flock(Fd, LOCK_UN);
+  ::close(Fd);
+  Committer.join();
+  ASSERT_FALSE(Threw);
+  EXPECT_GT(St.stats().LockWaits, 0u);
+
+  CertStore Re(Dir, StoreMode::ReadWrite);
+  EXPECT_EQ(Re.stats().Quarantined, 0u);
+  for (const StoreEntry &E : {makeEntry("Before::m", 1), Late, Held}) {
+    std::unique_ptr<StoreEntry> Got = Re.get(E.InputHash, E.Unit);
+    ASSERT_TRUE(Got) << E.Unit;
+    EXPECT_EQ(CertStore::frameEntry(*Got), CertStore::frameEntry(E));
+  }
+  fs::remove_all(Dir);
+  fs::remove_all(Snapshot);
 }
 
 } // namespace

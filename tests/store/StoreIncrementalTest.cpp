@@ -3,7 +3,8 @@
 // runs answered entirely from the persistent store with byte-identical
 // reports, one-method edits re-analyzing only the edited method,
 // checker-gated rejection of tampered entries, and verdict stability
-// under every injected store fault.
+// under every injected store fault — for a fresh certifier per run and
+// for one long-lived certifier whose store stays open across calls.
 //===----------------------------------------------------------------------===//
 
 #include "core/Certifier.h"
@@ -15,6 +16,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <memory>
+#include <thread>
 #include <unistd.h>
 
 using namespace canvas;
@@ -70,6 +74,29 @@ CertificationReport run(const char *Client, const CertifierOptions &Opts,
   CertificationReport R = C.certifySource(Client, Diags);
   EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
   return R;
+}
+
+std::unique_ptr<Certifier> makeCertifier(const CertifierOptions &Opts) {
+  DiagnosticEngine Diags;
+  auto C = std::make_unique<Certifier>(easl::cmpSpecSource(),
+                                       EngineKind::SCMPIntra, Diags,
+                                       wp::DerivationOptions{}, Opts);
+  EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
+  return C;
+}
+
+CertificationReport runOn(const Certifier &C, const char *Client) {
+  DiagnosticEngine Diags;
+  CertificationReport R = C.certifySource(Client, Diags);
+  EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
+  return R;
+}
+
+bool sawIncident(const CertificationReport &R, const std::string &Kind) {
+  for (const store::StoreIncident &I : R.Store.Incidents)
+    if (I.Kind == Kind)
+      return true;
+  return false;
 }
 
 class StoreIncrementalTest : public ::testing::Test {
@@ -283,6 +310,211 @@ TEST_F(StoreIncrementalTest, PointsToCouplesEveryMethodToTheProgram) {
   CertificationReport After = run(TwoMethodsMainEdited, PtOpts);
   EXPECT_EQ(After.Store.Hits, 0u);
   EXPECT_EQ(After.Store.Misses, Cold.Store.Misses);
+}
+
+// The tests below keep ONE certifier across calls, as a shard worker and
+// the serial corpus driver do: its store opens on the first call and
+// stays open, and every later call must still see the disk as it is.
+
+TEST_F(StoreIncrementalTest, LongLivedCertifierWarmRunsAreByteIdentical) {
+  std::unique_ptr<Certifier> C = makeCertifier(Opts);
+  const CertificationReport Cold = runOn(*C, TwoMethods);
+  ASSERT_GE(Cold.Store.Writes, 2u);
+  for (int Pass = 0; Pass != 2; ++Pass) {
+    const CertificationReport Warm = runOn(*C, TwoMethods);
+    EXPECT_EQ(Warm.Store.Hits, Cold.Store.Misses);
+    EXPECT_EQ(Warm.Store.Misses, 0u);
+    EXPECT_EQ(Warm.Store.Writes, 0u);
+    EXPECT_TRUE(Warm.Store.Incidents.empty());
+    EXPECT_EQ(Warm.str(), Cold.str());
+  }
+}
+
+TEST_F(StoreIncrementalTest, LongLivedCertifierCountsWritesPerCall) {
+  std::unique_ptr<Certifier> C = makeCertifier(Opts);
+  const CertificationReport Cold = runOn(*C, TwoMethods);
+  ASSERT_GE(Cold.Store.Writes, 2u);
+  // The store's own write counter is cumulative over the certifier's
+  // life; the report counts only this call's single commit.
+  const CertificationReport Edited = runOn(*C, TwoMethodsMainEdited);
+  EXPECT_EQ(Edited.Store.Hits, 1u);
+  EXPECT_EQ(Edited.Store.Misses, 1u);
+  EXPECT_EQ(Edited.Store.Writes, 1u);
+  EXPECT_EQ(Edited.Store.Quarantined, 0u);
+}
+
+TEST_F(StoreIncrementalTest, LongLivedCertifierRejectsTamperBetweenCalls) {
+  std::unique_ptr<Certifier> C = makeCertifier(Opts);
+  const CertificationReport Cold = runOn(*C, TwoMethods);
+  ASSERT_GE(Cold.Store.Writes, 2u);
+
+  // Launder a flipped verdict through a frame-valid entry while the
+  // certifier's own store instance stays open.
+  {
+    store::CertStore St(Dir, store::StoreMode::ReadWrite);
+    std::vector<store::StoreEntry> All = St.listEntries();
+    ASSERT_FALSE(All.empty());
+    store::StoreEntry E = All[0];
+    ASSERT_FALSE(E.Checks.empty());
+    E.Checks[0].Outcome = E.Checks[0].Outcome == CheckOutcome::Safe
+                              ? CheckOutcome::Potential
+                              : CheckOutcome::Safe;
+    E.Checks[0].Witness = core::WitnessTrace{};
+    St.put(E);
+  }
+
+  const CertificationReport Warm = runOn(*C, TwoMethods);
+  EXPECT_EQ(Warm.Store.Rejected, 1u);
+  EXPECT_EQ(Warm.Store.Misses, 1u);
+  EXPECT_EQ(Warm.Store.Quarantined, 1u); // The eviction.
+  EXPECT_EQ(Warm.Store.Writes, 1u);      // The re-analysed unit.
+  EXPECT_TRUE(sawIncident(Warm, "StoreEntryInvalid"));
+  EXPECT_EQ(Warm.str(), Cold.str());
+
+  const CertificationReport Again = runOn(*C, TwoMethods);
+  EXPECT_EQ(Again.Store.Rejected, 0u);
+  EXPECT_EQ(Again.Store.Misses, 0u);
+  EXPECT_EQ(Again.Store.Quarantined, 0u);
+  EXPECT_TRUE(Again.Store.Incidents.empty());
+  EXPECT_EQ(Again.str(), Cold.str());
+}
+
+TEST_F(StoreIncrementalTest, LongLivedCertifierQuarantinesCorruptEntryAtGet) {
+  std::unique_ptr<Certifier> C = makeCertifier(Opts);
+  const CertificationReport Cold = runOn(*C, TwoMethods);
+  ASSERT_GE(Cold.Store.Writes, 2u);
+
+  // Flip the last payload byte of one entry: the CRC no longer matches.
+  // Recovery already ran at open, so only get() can catch it.
+  std::string Victim;
+  for (const fs::directory_entry &DE :
+       fs::directory_iterator(fs::path(Dir) / "entries"))
+    if (DE.path().extension() == ".cert")
+      Victim = DE.path().string();
+  ASSERT_FALSE(Victim.empty());
+  {
+    std::fstream F(Victim, std::ios::in | std::ios::out | std::ios::binary);
+    F.seekg(-1, std::ios::end);
+    const char Last = static_cast<char>(F.get());
+    F.seekp(-1, std::ios::end);
+    F.put(static_cast<char>(Last ^ 0x5A));
+    ASSERT_TRUE(F.good());
+  }
+
+  const CertificationReport Warm = runOn(*C, TwoMethods);
+  EXPECT_TRUE(sawIncident(Warm, "StoreQuarantine"));
+  EXPECT_EQ(Warm.Store.Quarantined, 1u);
+  EXPECT_EQ(Warm.Store.Misses, 1u);
+  EXPECT_EQ(Warm.Store.Writes, 1u);
+  EXPECT_EQ(Warm.str(), Cold.str());
+  EXPECT_FALSE(fs::is_empty(fs::path(Dir) / "quarantine"));
+
+  const CertificationReport Again = runOn(*C, TwoMethods);
+  EXPECT_EQ(Again.Store.Quarantined, 0u);
+  EXPECT_EQ(Again.Store.Misses, 0u);
+  EXPECT_TRUE(Again.Store.Incidents.empty());
+}
+
+TEST_F(StoreIncrementalTest, LongLivedCertifierRetriesAFailedOpen) {
+  const CertificationReport Baseline = run(TwoMethods, CertifierOptions{});
+  std::unique_ptr<Certifier> C = makeCertifier(Opts);
+  support::setFaultPlan({"store-open", 1, support::FaultKind::Throw});
+  // The first open fails: this call runs storeless.
+  const CertificationReport First = runOn(*C, TwoMethods);
+  EXPECT_TRUE(First.Store.Enabled);
+  EXPECT_TRUE(sawIncident(First, "StoreIO"));
+  EXPECT_EQ(First.Store.Hits + First.Store.Writes, 0u);
+  EXPECT_FALSE(First.Degraded);
+  EXPECT_EQ(First.str(), Baseline.str());
+
+  // The failure was not kept: the next call opens the store and fills it.
+  const CertificationReport Second = runOn(*C, TwoMethods);
+  EXPECT_TRUE(Second.Store.Incidents.empty());
+  EXPECT_EQ(Second.Store.Hits, 0u);
+  EXPECT_GE(Second.Store.Writes, 2u);
+  EXPECT_EQ(Second.str(), Baseline.str());
+
+  const CertificationReport Third = runOn(*C, TwoMethods);
+  EXPECT_EQ(Third.Store.Hits, Second.Store.Writes);
+  EXPECT_EQ(Third.Store.Misses, 0u);
+}
+
+TEST_F(StoreIncrementalTest, LongLivedCertifierServesAReplacedRoot) {
+  std::unique_ptr<Certifier> C = makeCertifier(Opts);
+  const CertificationReport Cold = runOn(*C, TwoMethods);
+  ASSERT_GE(Cold.Store.Writes, 2u);
+  const std::string Snapshot = Dir + "-snapshot";
+  fs::remove_all(Snapshot);
+  fs::copy(Dir, Snapshot, fs::copy_options::recursive);
+
+  const CertificationReport Edited = runOn(*C, TwoMethodsMainEdited);
+  ASSERT_EQ(Edited.Store.Writes, 1u);
+
+  // Restore the older snapshot under the open store: the edited main()
+  // entry is gone again, so the edit re-analyses once more, and the
+  // commit lands in the restored root.
+  fs::remove_all(Dir);
+  fs::copy(Snapshot, Dir, fs::copy_options::recursive);
+  const CertificationReport Again = runOn(*C, TwoMethodsMainEdited);
+  EXPECT_TRUE(Again.Store.Incidents.empty());
+  EXPECT_EQ(Again.Store.Hits, 1u);
+  EXPECT_EQ(Again.Store.Misses, 1u);
+  EXPECT_EQ(Again.Store.Writes, 1u);
+  EXPECT_EQ(Again.str(), Edited.str());
+
+  const CertificationReport Original = runOn(*C, TwoMethods);
+  EXPECT_TRUE(Original.Store.Incidents.empty());
+  EXPECT_EQ(Original.Store.Misses, 0u);
+  EXPECT_EQ(Original.str(), Cold.str());
+  fs::remove_all(Snapshot);
+}
+
+// Two threads share one store-enabled certifier. Its store sections run
+// under the certifier's mutex; the analyses between them run in
+// parallel. Under ThreadSanitizer this is the race check for the
+// long-lived store.
+TEST(StoreSharedCertifierTest, ConcurrentCallersShareOneStore) {
+  support::clearFaultPlan();
+  const std::string Dir = ::testing::TempDir() + "/store-shared-" +
+                          std::to_string(static_cast<long>(::getpid()));
+  fs::remove_all(Dir);
+  const std::string Expected[] = {run(TwoMethods, CertifierOptions{}).str(),
+                                  run(TwoMethodsMainEdited,
+                                      CertifierOptions{})
+                                      .str()};
+  CertifierOptions Opts;
+  Opts.StorePath = Dir;
+  Opts.Workers = 2;
+  std::unique_ptr<Certifier> C = makeCertifier(Opts);
+
+  constexpr int Calls = 6;
+  std::string Got[2][Calls];
+  bool Clean[2][Calls] = {};
+  auto Caller = [&](int T) {
+    for (int I = 0; I != Calls; ++I) {
+      DiagnosticEngine Diags;
+      const CertificationReport R = C->certifySource(
+          (I + T) % 2 ? TwoMethodsMainEdited : TwoMethods, Diags);
+      Got[T][I] = R.str();
+      Clean[T][I] = !Diags.hasErrors() && !R.Degraded &&
+                    R.Store.Incidents.empty();
+    }
+  };
+  std::thread A(Caller, 0), B(Caller, 1);
+  A.join();
+  B.join();
+  for (int T = 0; T != 2; ++T)
+    for (int I = 0; I != Calls; ++I) {
+      EXPECT_TRUE(Clean[T][I]) << T << "/" << I;
+      EXPECT_EQ(Got[T][I], Expected[(I + T) % 2]) << T << "/" << I;
+    }
+
+  // Whichever thread committed each unit, a later call is served
+  // entirely from the store.
+  const CertificationReport Warm = runOn(*C, TwoMethodsMainEdited);
+  EXPECT_EQ(Warm.Store.Misses, 0u);
+  EXPECT_EQ(Warm.str(), Expected[1]);
+  fs::remove_all(Dir);
 }
 
 } // namespace

@@ -8,8 +8,8 @@
 # store's hit-rate lines (a cold run that fills the store followed by a
 # warm run that must answer everything from it) from canvas_certify,
 # and the sharded driver's shard-scaling / shard-store lines from
-# canvas_shard (serial reference, 1/2/4/8-way cold runs, and a
-# cold+warm store pair at 4 workers over a 200-client corpus).
+# canvas_shard (serial reference, 1/2/4/8-way cold runs, and cold+warm
+# store pairs, serial and at 4 workers, over a 200-client corpus).
 #
 # Usage: tools/bench_capture.sh [label]
 #   label   tag recorded with each line (default: "after"); use e.g.
@@ -73,11 +73,12 @@ EOF
 }
 
 # Shard scaling: one generated corpus, a serial reference, then cold
-# sharded runs at 1/2/4/8 workers, and a cold + store-warm pair at 4
-# workers. The shard-scaling lines carry wall-clock micros per shard
-# count; the shard-store lines record the warm pass's cross-worker hit
-# distribution (hits from >= 2 worker pids, zero quarantined is the
-# healthy shape).
+# sharded runs at 1/2/4/8 workers, and cold + store-warm pairs run
+# serially and at 4 workers. The shard-scaling lines carry wall-clock
+# micros per shard count; the serial pair sets a store's cost against
+# the storeless serial reference, and the shard-store lines record the
+# warm pass's cross-worker hit distribution (hits from >= 2 worker
+# pids, zero quarantined is the healthy shape).
 capture_shard() {
   local dir
   dir="$(mktemp -d)"
@@ -89,6 +90,12 @@ capture_shard() {
   for n in 1 2 4 8; do
     ./build/examples/canvas_shard --corpus="$dir/corpus" --shards="$n" \
       --no-stream --bench-label=shard-200 --out="$dir/merged.txt" |
+      sed -n 's/^BENCH_JSON //p' | grep '"bench":"shard' || true
+  done
+  for run in cold warm; do
+    ./build/examples/canvas_shard --corpus="$dir/corpus" --serial \
+      --store="$dir/serial-store" --no-stream \
+      --bench-label=shard-200-serial-$run --out="$dir/merged.txt" |
       sed -n 's/^BENCH_JSON //p' | grep '"bench":"shard' || true
   done
   for run in cold warm; do

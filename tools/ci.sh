@@ -84,12 +84,14 @@ cmake --build --preset tsan -j "$JOBS"
 step "tsan: parallel certifier, task pool, budget, and shard scheduler"
 # The fan-out tests force Workers > 1 explicitly, so TSan sees real
 # concurrency even on single-core runners; any data race in the shared
-# CancelToken, fault-probe state, or slot merging fails the gate. The
+# CancelToken, fault-probe state, slot merging, or the certifier's
+# long-lived store (two threads on one store-enabled certifier) fails
+# the gate. The
 # shard determinism tests drive the multi-process scheduler (fork+exec
 # is TSan-safe; the fork-without-exec StoreContention tests are NOT in
 # this regex for that reason — they run under the sanitize preset).
 run_ctest --preset tsan -j "$JOBS" \
-  -R 'ParallelCertifierTest|ParallelEngineTest|TaskPoolTest|BudgetTest|ShardProtocolTest|ShardDeterminismTest'
+  -R 'ParallelCertifierTest|ParallelEngineTest|TaskPoolTest|BudgetTest|ShardProtocolTest|ShardDeterminismTest|StoreSharedCertifierTest'
 
 step "ubsan configure + build (UBSan only)"
 cmake --preset ubsan
@@ -115,7 +117,9 @@ step "shard: multi-process determinism vs serial (sanitize)"
 # The sharded certification driver must merge to a report byte-identical
 # to the serial run at every shard count. Exercise the real corpus flow
 # end to end on the sanitize build: generate a corpus, take one serial
-# reference, then diff 1/2/4-way sharded runs against it.
+# reference, then diff 1/2/4-way sharded runs against it, and a 4-way
+# cold run that fills a certificate store plus the warm run it serves
+# (each worker keeps its store open across clients).
 SHARD_BIN=./build-sanitize/examples/canvas_shard
 SHARD_DIR="$(mktemp -d)"
 "$SHARD_BIN" --generate="$SHARD_DIR/corpus" --count=32 --seed=11
@@ -125,6 +129,12 @@ for n in 1 2 4; do
   "$SHARD_BIN" --corpus="$SHARD_DIR/corpus" --shards="$n" --no-stream \
     --out="$SHARD_DIR/shard$n.txt" >/dev/null
   cmp "$SHARD_DIR/serial.txt" "$SHARD_DIR/shard$n.txt"
+done
+for run in cold warm; do
+  "$SHARD_BIN" --corpus="$SHARD_DIR/corpus" --shards=4 \
+    --store="$SHARD_DIR/store" --no-stream \
+    --out="$SHARD_DIR/store-$run.txt" >/dev/null
+  cmp "$SHARD_DIR/serial.txt" "$SHARD_DIR/store-$run.txt"
 done
 rm -rf "$SHARD_DIR"
 
