@@ -219,13 +219,14 @@ int main(int argc, char **argv) {
     std::printf("BENCH_JSON {\"bench\":\"shard-store\",\"corpus\":\"%s\","
                 "\"shards\":%u,\"hits\":%llu,\"misses\":%llu,"
                 "\"writes\":%llu,\"rejected\":%llu,\"quarantined\":%llu,"
-                "\"hit_pids\":%zu}\n",
+                "\"lock_waits\":%llu,\"hit_pids\":%zu}\n",
                 Label.c_str(), Serial ? 0 : Shards,
                 static_cast<unsigned long long>(Stats.StoreHits),
                 static_cast<unsigned long long>(Stats.StoreMisses),
                 static_cast<unsigned long long>(Stats.StoreWrites),
                 static_cast<unsigned long long>(Stats.StoreRejected),
                 static_cast<unsigned long long>(Stats.StoreQuarantined),
+                static_cast<unsigned long long>(Stats.StoreLockWaits),
                 Stats.HitsByPid.size());
   return 0;
 }

@@ -23,13 +23,13 @@
 #include "dataflow/Dataflow.h"
 #include "dataflow/PointsTo.h"
 #include "dataflow/PreAnalysis.h"
+#include "ifds/PathEdgeIndex.h"
 #include "ifds/Problem.h"
 #include "support/Budget.h"
 #include "support/Interner.h"
 #include "tvla/Transfer.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <map>
 #include <set>
@@ -689,26 +689,14 @@ CheckResult Checker::checkIfds(const Certificate &C) const {
 
   const uint32_t NumPE = R.u32();
   std::vector<bp::IfdsTabulation::PE> PEs;
-  PEs.reserve(NumPE);
-  // Packed-key hash sets for the closure sweep's membership tests (the
-  // checker-side analogue of the solver's path-edge index).
-  struct PEKeyHash {
-    size_t operator()(const std::array<int, 4> &K) const {
-      uint64_t H = support::hashMix(
-          (static_cast<uint64_t>(static_cast<uint32_t>(K[0])) << 32) |
-          static_cast<uint32_t>(K[1]));
-      return support::hashCombine(
-          H, support::hashMix(
-                 (static_cast<uint64_t>(static_cast<uint32_t>(K[2])) << 32) |
-                 static_cast<uint32_t>(K[3])));
-    }
-  };
-  auto PackPair = [](int A, int B) {
-    return (static_cast<uint64_t>(static_cast<uint32_t>(A)) << 32) |
-           static_cast<uint32_t>(B);
-  };
-  std::unordered_set<std::array<int, 4>, PEKeyHash> PESet;
-  PESet.reserve(NumPE);
+  // NumPE is untrusted: each path edge takes 16 payload bytes, so a
+  // count the payload cannot hold reserves no more than it can.
+  const size_t MaxPE = std::min<size_t>(NumPE, C.Payload.size() / 16);
+  PEs.reserve(MaxPE);
+  // The solver's own packed path-edge index, here used as a set for the
+  // closure sweep's membership tests.
+  ifds::PathEdgeIndex PESet(Prob);
+  PESet.reserve(MaxPE);
   std::vector<bool> HasPE(Prob.numProcs(), false);
   for (uint32_t I = 0; I != NumPE && !R.failed(); ++I) {
     bp::IfdsTabulation::PE E;
@@ -723,24 +711,24 @@ CheckResult Checker::checkIfds(const Certificate &C) const {
     if (E.EntryFact < 0 || E.EntryFact >= NF || E.Fact < 0 || E.Fact >= NF ||
         E.Node < 0 || E.Node >= V.NumNodes)
       return fail("path edge with out-of-range node or fact");
-    PESet.insert({E.Proc, E.EntryFact, E.Node, E.Fact});
+    PESet.insert(E.Proc, E.EntryFact, E.Node, E.Fact, 0);
     HasPE[E.Proc] = true;
     PEs.push_back(E);
   }
   const uint32_t NumGenuine = R.u32();
-  std::unordered_set<uint64_t> StoredGenuine;
+  std::vector<char> StoredGenuine(PESet.totalFacts(), 0);
   for (uint32_t I = 0; I != NumGenuine && !R.failed(); ++I) {
     int P = R.i32();
     int F = R.i32();
     if (P < 0 || P >= Prob.numProcs() || F < 0 || F >= Prob.numFacts(P))
       return fail("genuine entry with out-of-range procedure or fact");
-    StoredGenuine.insert(PackPair(P, F));
+    StoredGenuine[PESet.factIndex(P, F)] = 1;
   }
   if (!R.done())
     return fail("malformed payload");
 
   auto Has = [&](int P, int D, int N, int F) {
-    return PESet.count({P, D, N, F}) != 0;
+    return PESet.find(P, D, N, F) >= 0;
   };
 
   // (a) Initial facts covered, and seed totality: an activated
@@ -760,11 +748,12 @@ CheckResult Checker::checkIfds(const Certificate &C) const {
         return fail("activated procedure missing a seed path edge");
   }
 
-  // Callee exit facts per (proc, entry fact), for summary closure.
-  std::map<std::pair<int, int>, std::vector<int>> ExitFacts;
+  // Callee exit facts per (proc, entry fact) by factIndex, for summary
+  // closure.
+  std::vector<std::vector<int>> ExitFacts(PESet.totalFacts());
   for (const bp::IfdsTabulation::PE &E : PEs)
     if (E.Node == Prob.proc(E.Proc).Exit)
-      ExitFacts[{E.Proc, E.EntryFact}].push_back(E.Fact);
+      ExitFacts[PESet.factIndex(E.Proc, E.EntryFact)].push_back(E.Fact);
 
   // (b) Closure under the exploded flow functions.
   std::vector<std::vector<std::vector<int>>> OutEdges(Prob.numProcs());
@@ -798,10 +787,8 @@ CheckResult Checker::checkIfds(const Certificate &C) const {
       std::vector<int> Seeded;
       Prob.flowCall(E.Proc, EI, E.Fact, Seeded);
       for (int D2 : Seeded) {
-        auto It = ExitFacts.find({CE.Callee, D2});
-        if (It == ExitFacts.end())
-          continue; // Callee never returns from this entry fact.
-        for (int F2 : It->second) {
+        // Empty when the callee never returns from this entry fact.
+        for (int F2 : ExitFacts[PESet.factIndex(CE.Callee, D2)]) {
           Out.clear();
           Prob.flowSummary(E.Proc, EI, E.Fact, D2, F2, Out);
           for (int F : Out)
@@ -816,14 +803,14 @@ CheckResult Checker::checkIfds(const Certificate &C) const {
   // initial facts, closed under flowCall feeds from genuine path edges.
   // Recomputed independently and required to match the stored relation
   // exactly, so verdict queries below answer from verified data.
-  std::unordered_set<uint64_t> Genuine;
+  std::vector<char> Genuine(PESet.totalFacts(), 0);
   for (int D : Init)
-    Genuine.insert(PackPair(EntryProc, D));
+    Genuine[PESet.factIndex(EntryProc, D)] = 1;
   bool Changed = true;
   while (Changed) {
     Changed = false;
     for (const bp::IfdsTabulation::PE &E : PEs) {
-      if (!Genuine.count(PackPair(E.Proc, E.EntryFact)))
+      if (!Genuine[PESet.factIndex(E.Proc, E.EntryFact)])
         continue;
       const ifds::ProcView &V = Prob.proc(E.Proc);
       for (int EI : OutEdges[E.Proc][E.Node]) {
@@ -832,8 +819,11 @@ CheckResult Checker::checkIfds(const Certificate &C) const {
           continue;
         Out.clear();
         Prob.flowCall(E.Proc, EI, E.Fact, Out);
-        for (int D2 : Out)
-          Changed |= Genuine.insert(PackPair(CE.Callee, D2)).second;
+        for (int D2 : Out) {
+          char &G = Genuine[PESet.factIndex(CE.Callee, D2)];
+          Changed |= !G;
+          G = 1;
+        }
       }
     }
   }
@@ -849,7 +839,7 @@ CheckResult Checker::checkIfds(const Certificate &C) const {
     ReachedG[P].assign((Bits + 63) / 64, 0);
   }
   for (const bp::IfdsTabulation::PE &E : PEs)
-    if (Genuine.count(PackPair(E.Proc, E.EntryFact))) {
+    if (Genuine[PESet.factIndex(E.Proc, E.EntryFact)]) {
       const size_t Bit =
           static_cast<size_t>(E.Node) * Prob.numFacts(E.Proc) + E.Fact;
       ReachedG[E.Proc][Bit >> 6] |= 1ull << (Bit & 63);

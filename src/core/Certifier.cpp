@@ -1068,6 +1068,7 @@ CertificationReport Certifier::certify(const cj::Program &P,
     Report.Store.Quarantined += After.Quarantined + After.SkippedInvalid -
                                 Before.Quarantined - Before.SkippedInvalid;
     Report.Store.Writes += After.Writes - Before.Writes;
+    Report.Store.LockWaits += After.LockWaits - Before.LockWaits;
     for (store::StoreIncident &I : Store->takeIncidents())
       Report.Store.Incidents.push_back(std::move(I));
   };

@@ -11,27 +11,27 @@ Problem::~Problem() = default;
 namespace {
 
 /// Reverse-postorder numbering from the entry (unreachable nodes get
-/// trailing numbers so every node has a priority).
-std::vector<int> rpoNumber(const ProcView &P) {
-  std::vector<std::vector<int>> Succ(P.NumNodes);
-  for (const ProcView::Edge &E : P.Edges)
-    Succ[E.From].push_back(E.To);
+/// trailing numbers so every node has a priority). Successors are
+/// visited in edge order, read from the out-edge lists.
+std::vector<int> rpoNumber(const ProcView &P, const std::vector<int> &OutBegin,
+                           const std::vector<int> &OutList) {
   std::vector<int> Order;
+  Order.reserve(P.NumNodes);
   std::vector<char> Seen(P.NumNodes, 0);
-  // Iterative postorder DFS.
-  std::vector<std::pair<int, size_t>> Stack;
+  // Iterative postorder DFS; I walks OutList from OutBegin[N].
+  std::vector<std::pair<int, int>> Stack;
   auto Visit = [&](int Root) {
     if (Seen[Root])
       return;
     Seen[Root] = 1;
-    Stack.emplace_back(Root, 0);
+    Stack.emplace_back(Root, OutBegin[Root]);
     while (!Stack.empty()) {
       auto &[N, I] = Stack.back();
-      if (I < Succ[N].size()) {
-        int S = Succ[N][I++];
+      if (I < OutBegin[N + 1]) {
+        int S = P.Edges[OutList[I++]].To;
         if (!Seen[S]) {
           Seen[S] = 1;
-          Stack.emplace_back(S, 0);
+          Stack.emplace_back(S, OutBegin[S]);
         }
       } else {
         Order.push_back(N);
@@ -50,17 +50,26 @@ std::vector<int> rpoNumber(const ProcView &P) {
 
 } // namespace
 
-Solver::Solver(const Problem &Prob) : Prob(Prob) {
+Solver::Solver(const Problem &Prob) : Prob(Prob), Index(Prob) {
   int N = Prob.numProcs();
   Procs.resize(N);
   ReachedG.resize(N);
+  Genuine.assign(Index.totalFacts(), 0);
   for (int P = 0; P != N; ++P) {
     const ProcView &V = Prob.proc(P);
     ProcState &PS = Procs[P];
-    PS.Rpo = rpoNumber(V);
-    PS.OutEdges.resize(V.NumNodes);
+    // Out-edge lists by counting sort on the source node, keeping edge
+    // order within each node.
+    PS.OutBegin.assign(V.NumNodes + 1, 0);
+    for (const ProcView::Edge &E : V.Edges)
+      ++PS.OutBegin[E.From + 1];
+    for (int Node = 0; Node != V.NumNodes; ++Node)
+      PS.OutBegin[Node + 1] += PS.OutBegin[Node];
+    PS.OutList.resize(V.Edges.size());
+    std::vector<int> Fill(PS.OutBegin.begin(), PS.OutBegin.end() - 1);
     for (size_t E = 0; E != V.Edges.size(); ++E)
-      PS.OutEdges[V.Edges[E].From].push_back(static_cast<int>(E));
+      PS.OutList[Fill[V.Edges[E].From]++] = static_cast<int>(E);
+    PS.Rpo = rpoNumber(V, PS.OutBegin, PS.OutList);
     PS.Feeds.resize(Prob.numFacts(P));
     PS.FeedsSeen.resize(Prob.numFacts(P));
   }
@@ -79,17 +88,17 @@ void Solver::activate(int P) {
 
 int Solver::propagate(int P, int EntryFact, int Node, int Fact, long Dist,
                       Via How, int Prev, int CFGEdge, int CalleePathEdge) {
-  std::array<int, 4> Key = {P, EntryFact, Node, Fact};
-  auto [It, New] = Index.emplace(Key, static_cast<int>(Edges.size()));
+  auto [Id, New] =
+      Index.insert(P, EntryFact, Node, Fact, static_cast<int>(Edges.size()));
   long Priority =
       static_cast<long>(P) * 1000000 + Procs[P].Rpo[Node];
   if (New) {
-    Edges.push_back(
-        {P, EntryFact, Node, Fact, Dist, How, Prev, CFGEdge, CalleePathEdge});
-    Worklist.emplace(Priority, It->second);
-    return It->second;
+    Edges.push_back({P, EntryFact, Node, Fact, Dist, How, true, Prev, CFGEdge,
+                     CalleePathEdge});
+    Worklist.emplace(Priority, Id);
+    return Id;
   }
-  PathEdge &PE = Edges[It->second];
+  PathEdge &PE = Edges[Id];
   if (Dist < PE.Dist) {
     // A strictly shorter realization: adopt the new justification and
     // reprocess so downstream distances relax too. Distances only
@@ -99,22 +108,25 @@ int Solver::propagate(int P, int EntryFact, int Node, int Fact, long Dist,
     PE.Prev = Prev;
     PE.CFGEdge = CFGEdge;
     PE.CalleePathEdge = CalleePathEdge;
-    Worklist.emplace(Priority, It->second);
+    if (!PE.Queued) {
+      PE.Queued = true;
+      Worklist.emplace(Priority, Id);
+    }
   }
-  return It->second;
+  return Id;
 }
 
 void Solver::applySummary(int CallerPE, int CFGEdge, int SummaryPE) {
   const PathEdge Caller = Edges[CallerPE]; // Copy: Edges may reallocate.
   const PathEdge Sum = Edges[SummaryPE];
-  std::vector<int> Out;
+  FlowOut.clear();
   Prob.flowSummary(Caller.Proc, CFGEdge, Caller.Fact, Sum.EntryFact, Sum.Fact,
-                   Out);
-  if (Out.empty())
+                   FlowOut);
+  if (FlowOut.empty())
     return;
   int To = Prob.proc(Caller.Proc).Edges[CFGEdge].To;
   long Dist = Caller.Dist + 2 + Sum.Dist;
-  for (int F : Out)
+  for (int F : FlowOut)
     propagate(Caller.Proc, Caller.EntryFact, To, F, Dist, Via::Summary,
               CallerPE, CFGEdge, SummaryPE);
 }
@@ -124,7 +136,8 @@ void Solver::process(int Id) {
   const ProcView &V = Prob.proc(PE.Proc);
   ProcState &PS = Procs[PE.Proc];
 
-  for (int EIdx : PS.OutEdges[PE.Node]) {
+  for (int I = PS.OutBegin[PE.Node]; I != PS.OutBegin[PE.Node + 1]; ++I) {
+    const int EIdx = PS.OutList[I];
     const ProcView::Edge &E = V.Edges[EIdx];
     if (E.Callee >= 0) {
       activate(E.Callee);
@@ -133,9 +146,9 @@ void Solver::process(int Id) {
       if (CS.CallersSeen.insert(packPair(Id, EIdx)).second)
         CS.Callers.emplace_back(Id, EIdx);
       // Record genuine feeds of callee entry facts.
-      std::vector<int> Seeded;
-      Prob.flowCall(PE.Proc, EIdx, PE.Fact, Seeded);
-      for (int D : Seeded)
+      FlowOut.clear();
+      Prob.flowCall(PE.Proc, EIdx, PE.Fact, FlowOut);
+      for (int D : FlowOut)
         if (CS.FeedsSeen[D].insert(packPair(Id, EIdx)).second)
           CS.Feeds[D].push_back({Id, EIdx});
       // Apply every summary already tabulated for the callee.
@@ -144,15 +157,15 @@ void Solver::process(int Id) {
         applySummary(Id, EIdx, SumId);
       }
       // Facts bypassing the callee.
-      std::vector<int> Out;
-      Prob.flowCallToReturn(PE.Proc, EIdx, PE.Fact, Out);
-      for (int F : Out)
+      FlowOut.clear();
+      Prob.flowCallToReturn(PE.Proc, EIdx, PE.Fact, FlowOut);
+      for (int F : FlowOut)
         propagate(PE.Proc, PE.EntryFact, E.To, F, PE.Dist + 1,
                   Via::CallToReturn, Id, EIdx, -1);
     } else {
-      std::vector<int> Out;
-      Prob.flowNormal(PE.Proc, EIdx, PE.Fact, Out);
-      for (int F : Out)
+      FlowOut.clear();
+      Prob.flowNormal(PE.Proc, EIdx, PE.Fact, FlowOut);
+      for (int F : FlowOut)
         propagate(PE.Proc, PE.EntryFact, E.To, F, PE.Dist + 1, Via::Normal,
                   Id, EIdx, -1);
     }
@@ -197,8 +210,9 @@ void Solver::solve(support::CancelToken *Cancel) {
         AccountedEdges = Edges.size();
       }
     }
-    int Id = Worklist.begin()->second;
-    Worklist.erase(Worklist.begin());
+    int Id = Worklist.top().second;
+    Worklist.pop();
+    Edges[Id].Queued = false;
     ++St.Visits;
     process(Id);
   }
@@ -208,10 +222,18 @@ void Solver::solve(support::CancelToken *Cancel) {
   St.PathEdges = Edges.size();
   for (const ProcState &PS : Procs)
     St.Summaries += PS.Summaries.size();
-  std::set<std::array<int, 3>> Nodes;
-  for (const PathEdge &PE : Edges)
-    Nodes.insert({PE.Proc, PE.Node, PE.Fact});
-  St.ExplodedNodes = Nodes.size();
+  // Distinct exploded nodes, one bit each per procedure.
+  std::vector<std::vector<uint64_t>> Seen(Procs.size());
+  for (size_t P = 0; P != Procs.size(); ++P)
+    Seen[P].assign(ReachedG[P].size(), 0);
+  for (const PathEdge &PE : Edges) {
+    const size_t Bit =
+        static_cast<size_t>(PE.Node) * Prob.numFacts(PE.Proc) + PE.Fact;
+    uint64_t &Word = Seen[PE.Proc][Bit >> 6];
+    const uint64_t Mask = 1ull << (Bit & 63);
+    St.ExplodedNodes += (Word & Mask) == 0;
+    Word |= Mask;
+  }
 }
 
 void Solver::computeGenuine() {
@@ -221,19 +243,19 @@ void Solver::computeGenuine() {
   std::vector<int> Init;
   Prob.initialFacts(Init);
   for (int D : Init)
-    Genuine.insert(packPair(Prob.entryProc(), D));
+    Genuine[factIndex(Prob.entryProc(), D)] = 1;
 
   bool Changed = true;
   while (Changed) {
     Changed = false;
     for (int P = 0; P != Prob.numProcs(); ++P)
       for (int D = 0; D != Prob.numFacts(P); ++D) {
-        if (Genuine.count(packPair(P, D)))
+        if (Genuine[factIndex(P, D)])
           continue;
         for (const FactFeed &F : Procs[P].Feeds[D]) {
           const PathEdge &Caller = Edges[F.CallerPathEdge];
-          if (Genuine.count(packPair(Caller.Proc, Caller.EntryFact))) {
-            Genuine.insert(packPair(P, D));
+          if (Genuine[factIndex(Caller.Proc, Caller.EntryFact)]) {
+            Genuine[factIndex(P, D)] = 1;
             Changed = true;
             break;
           }
@@ -247,7 +269,7 @@ void Solver::computeGenuine() {
     ReachedG[P].assign((Bits + 63) / 64, 0);
   }
   for (const PathEdge &PE : Edges)
-    if (Genuine.count(packPair(PE.Proc, PE.EntryFact))) {
+    if (Genuine[factIndex(PE.Proc, PE.EntryFact)]) {
       const size_t Bit =
           static_cast<size_t>(PE.Node) * Prob.numFacts(PE.Proc) + PE.Fact;
       ReachedG[PE.Proc][Bit >> 6] |= 1ull << (Bit & 63);
@@ -263,14 +285,9 @@ bool Solver::reached(int P, int Node, int Fact) const {
 }
 
 bool Solver::genuineEntry(int P, int Fact) const {
-  return Genuine.count(packPair(P, Fact)) != 0;
+  return Genuine[factIndex(P, Fact)] != 0;
 }
 
 const std::vector<Solver::FactFeed> &Solver::feedsOf(int P, int Fact) const {
   return Procs[P].Feeds[Fact];
-}
-
-int Solver::findPathEdge(int P, int EntryFact, int Node, int Fact) const {
-  auto It = Index.find({P, EntryFact, Node, Fact});
-  return It == Index.end() ? -1 : It->second;
 }

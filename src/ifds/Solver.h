@@ -30,17 +30,16 @@
 #ifndef CANVAS_IFDS_SOLVER_H
 #define CANVAS_IFDS_SOLVER_H
 
+#include "ifds/PathEdgeIndex.h"
 #include "ifds/Problem.h"
 #include "support/Budget.h"
-#include "support/Interner.h"
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <set>
-#include <unordered_map>
+#include <queue>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 namespace canvas {
@@ -50,7 +49,7 @@ class Solver {
 public:
   /// How a path edge was last (best) derived — the predecessor link of
   /// witness reconstruction.
-  enum class Via {
+  enum class Via : uint8_t {
     Seed,         ///< ⟨(sp,d)→(sp,d)⟩, distance 0.
     Normal,       ///< Prev + one non-call CFG edge (flowNormal).
     CallToReturn, ///< Prev + one call edge, bypassing the callee.
@@ -68,6 +67,9 @@ public:
     /// for the call and return crossings.
     long Dist = 0;
     Via How = Via::Seed;
+    /// On the worklist now. Sits in the padding after How, so the
+    /// flag costs no space.
+    bool Queued = false;
     int Prev = -1;           ///< Predecessor path edge id, -1 for seeds.
     int CFGEdge = -1;        ///< CFG edge justifying the last step.
     int CalleePathEdge = -1; ///< Callee summary edge for Via::Summary.
@@ -88,6 +90,8 @@ public:
     unsigned Visits = 0;      ///< Worklist pops.
   };
 
+  /// Throws CertifyError(InternalInvariant) when the problem is too
+  /// large for the packed path-edge key (see ifds/PathEdgeIndex.h).
   explicit Solver(const Problem &Prob);
 
   /// Runs the tabulation to fixpoint. \p Cancel, when given, is ticked
@@ -109,13 +113,21 @@ public:
   /// Genuine feeds of callee entry fact (P, Fact); empty when none.
   const std::vector<FactFeed> &feedsOf(int P, int Fact) const;
   /// Path edge id for (P, EntryFact, Node, Fact), or -1.
-  int findPathEdge(int P, int EntryFact, int Node, int Fact) const;
+  int findPathEdge(int P, int EntryFact, int Node, int Fact) const {
+    return Index.find(P, EntryFact, Node, Fact);
+  }
+  /// Dense index of (procedure, fact) in [0, totalFacts()).
+  size_t factIndex(int P, int Fact) const { return Index.factIndex(P, Fact); }
+  size_t totalFacts() const { return Index.totalFacts(); }
   const Stats &stats() const { return St; }
 
 private:
   struct ProcState {
-    std::vector<int> Rpo;                ///< Node -> priority.
-    std::vector<std::vector<int>> OutEdges;
+    std::vector<int> Rpo; ///< Node -> priority.
+    /// Out-edges of node N, in edge order, are
+    /// OutList[OutBegin[N] .. OutBegin[N + 1]).
+    std::vector<int> OutBegin;
+    std::vector<int> OutList;
     bool Activated = false;
     /// Summary path edges, keyed (entry fact, exit fact) -> id.
     std::map<std::pair<int, int>, int> Summaries;
@@ -134,36 +146,30 @@ private:
   void applySummary(int CallerPE, int CFGEdge, int SummaryPE);
   void computeGenuine();
 
-  /// Exploded-node keys pack into a word-hashed key (the tabulation's
-  /// hottest lookup; see DESIGN.md "Arena / flat-structure memory
-  /// architecture").
-  struct KeyHash {
-    size_t operator()(const std::array<int, 4> &K) const {
-      uint64_t H = support::hashMix(
-          (static_cast<uint64_t>(static_cast<uint32_t>(K[0])) << 32) |
-          static_cast<uint32_t>(K[1]));
-      return support::hashCombine(
-          H, support::hashMix(
-                 (static_cast<uint64_t>(static_cast<uint32_t>(K[2])) << 32) |
-                 static_cast<uint32_t>(K[3])));
-    }
-  };
   static uint64_t packPair(int A, int B) {
     return (static_cast<uint64_t>(static_cast<uint32_t>(A)) << 32) |
            static_cast<uint32_t>(B);
   }
 
   const Problem &Prob;
+  /// (Proc, EntryFact, Node, Fact) -> path edge id. Built first: its
+  /// key-overflow check runs before anything is sized by the problem.
+  PathEdgeIndex Index;
   std::vector<ProcState> Procs;
   std::vector<PathEdge> Edges;
-  /// (Proc, EntryFact, Node, Fact) -> path edge id. Never iterated, so
-  /// the unordered map cannot perturb processing order.
-  std::unordered_map<std::array<int, 4>, int, KeyHash> Index;
-  /// Worklist keyed by (RPO priority, id): processes nodes in roughly
-  /// topological order, converging in few passes on reducible CFGs.
-  std::set<std::pair<long, int>> Worklist;
-  /// Genuine (proc, entry fact) pairs, packed, post-solve.
-  std::unordered_set<uint64_t> Genuine;
+  /// Min-heap of (RPO priority, id): processes nodes in roughly
+  /// topological order, converging in few passes on reducible CFGs. An
+  /// edge is pushed only while PathEdge::Queued is clear, and its
+  /// priority never changes, so the heap holds no duplicates and each
+  /// pop takes the least queued (priority, id), as from an ordered set.
+  std::priority_queue<std::pair<long, int>, std::vector<std::pair<long, int>>,
+                      std::greater<>>
+      Worklist;
+  /// Flow-function output buffer, reused across calls (no flow call
+  /// nests inside another's output loop).
+  std::vector<int> FlowOut;
+  /// Genuine (proc, entry fact) pairs by factIndex, post-solve.
+  std::vector<char> Genuine;
   /// Genuine reachability of (Node, Fact) per procedure, one bit per
   /// exploded node at index Node * numFacts + Fact.
   std::vector<std::vector<uint64_t>> ReachedG;

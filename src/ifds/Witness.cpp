@@ -6,12 +6,13 @@
 using namespace canvas;
 using namespace canvas::ifds;
 
-WitnessBuilder::WitnessBuilder(const Solver &S) : S(S) {
+WitnessBuilder::WitnessBuilder(const Solver &S)
+    : S(S), D(S.totalFacts(), Inf), Pred(S.totalFacts()) {
   const Problem &Prob = S.problem();
   std::vector<int> Init;
   Prob.initialFacts(Init);
   for (int F : Init)
-    D[{Prob.entryProc(), F}] = 0;
+    D[S.factIndex(Prob.entryProc(), F)] = 0;
 
   // Bellman-Ford over the genuine feed records: the graphs are tiny
   // (procedures x entry facts), and distances only decrease.
@@ -28,10 +29,10 @@ WitnessBuilder::WitnessBuilder(const Solver &S) : S(S) {
           if (Base == Inf)
             continue;
           long Cand = Base + Caller.Dist + 1;
-          auto It = D.find({P, F});
-          if (It == D.end() || Cand < It->second) {
-            D[{P, F}] = Cand;
-            Pred[{P, F}] = Feed;
+          const size_t I = S.factIndex(P, F);
+          if (Cand < D[I]) {
+            D[I] = Cand;
+            Pred[I] = Feed;
             Changed = true;
           }
         }
@@ -40,8 +41,7 @@ WitnessBuilder::WitnessBuilder(const Solver &S) : S(S) {
 }
 
 long WitnessBuilder::prefixDist(int P, int EntryFact) const {
-  auto It = D.find({P, EntryFact});
-  return It == D.end() ? Inf : It->second;
+  return D[S.factIndex(P, EntryFact)];
 }
 
 bool WitnessBuilder::reconstruct(int P, int Node, int Fact,
@@ -81,18 +81,16 @@ void WitnessBuilder::emitPrefix(int P, int EntryFact,
   if (P == S.problem().entryProc()) {
     // Initial facts have distance 0; a feed chain can never beat that,
     // so the recursion bottoms out exactly at the program entry.
-    auto It = D.find({P, EntryFact});
-    if (It != D.end() && It->second == 0) {
+    if (prefixDist(P, EntryFact) == 0) {
       SeedFactOut = EntryFact;
       return;
     }
   }
-  auto It = Pred.find({P, EntryFact});
-  if (It == Pred.end())
+  const Solver::FactFeed &Feed = Pred[S.factIndex(P, EntryFact)];
+  if (Feed.CallerPathEdge < 0)
     throw CertifyError(CertifyErrorKind::InternalInvariant,
                        "witness prefix requested for an unfed entry fact",
                        "ifds");
-  const Solver::FactFeed &Feed = It->second;
   const Solver::PathEdge &Caller = S.pathEdges()[Feed.CallerPathEdge];
   emitPrefix(Caller.Proc, Caller.EntryFact, Out, SeedFactOut);
   emitSameLevel(Feed.CallerPathEdge, Out);

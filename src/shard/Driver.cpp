@@ -91,6 +91,7 @@ void accumulate(ShardRunStats &Stats, const ResultMsg &R) {
   Stats.StoreRejected += R.StoreRejected;
   Stats.StoreQuarantined += R.StoreQuarantined;
   Stats.StoreWrites += R.StoreWrites;
+  Stats.StoreLockWaits += R.StoreLockWaits;
   if (R.StoreHits)
     Stats.HitsByPid[R.WorkerPid] += R.StoreHits;
   Stats.WorkerMicros += R.Micros;

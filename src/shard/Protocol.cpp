@@ -120,6 +120,7 @@ std::vector<uint8_t> shard::encodeResult(const ResultMsg &M) {
   W.u32(M.StoreRejected);
   W.u32(M.StoreQuarantined);
   W.u32(M.StoreWrites);
+  W.u32(M.StoreLockWaits);
   W.u32(static_cast<uint32_t>(M.Methods.size()));
   for (const MethodVerdict &V : M.Methods) {
     W.str(V.Method);
@@ -147,6 +148,7 @@ bool shard::decodeResult(const std::vector<uint8_t> &Payload, ResultMsg &Out,
   Out.StoreRejected = R.u32();
   Out.StoreQuarantined = R.u32();
   Out.StoreWrites = R.u32();
+  Out.StoreLockWaits = R.u32();
   const uint32_t NumMethods = R.u32();
   for (uint32_t I = 0; I != NumMethods && !R.failed(); ++I) {
     MethodVerdict V;

@@ -45,7 +45,7 @@ namespace canvas {
 namespace shard {
 
 constexpr uint32_t ProtocolMagic = 0x50564E43; // "CNVP" little-endian.
-constexpr uint32_t ProtocolVersion = 1;
+constexpr uint32_t ProtocolVersion = 2;
 
 enum class MsgType : uint8_t {
   Task = 1,
@@ -91,6 +91,7 @@ struct ResultMsg {
   uint32_t StoreRejected = 0;
   uint32_t StoreQuarantined = 0;
   uint32_t StoreWrites = 0;
+  uint32_t StoreLockWaits = 0; ///< Store lock backoff sleeps.
   std::vector<MethodVerdict> Methods;
 };
 

@@ -152,6 +152,7 @@ void shard::certifyClient(const core::Certifier &C, uint32_t Index,
         Out.StoreRejected = Rep.Store.Rejected;
         Out.StoreQuarantined = Rep.Store.Quarantined;
         Out.StoreWrites = Rep.Store.Writes;
+        Out.StoreLockWaits = Rep.Store.LockWaits;
         for (const store::StoreIncident &I : Rep.Store.Incidents)
           std::fprintf(stderr, "shard[%u] store: %s: %s: %s\n", Out.WorkerPid,
                        I.Kind.c_str(),

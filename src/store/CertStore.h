@@ -103,6 +103,9 @@ struct StoreReport {
   unsigned Rejected = 0; ///< Entries the checker gate refused (evicted).
   unsigned Quarantined = 0;
   unsigned Writes = 0;
+  /// Lock backoff sleeps this run took while another process held the
+  /// store lock (StoreStats::LockWaits over its store sections).
+  unsigned LockWaits = 0;
   std::vector<StoreIncident> Incidents;
 };
 

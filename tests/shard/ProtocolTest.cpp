@@ -63,6 +63,7 @@ ResultMsg sampleResult() {
   R.StoreRejected = 0;
   R.StoreQuarantined = 0;
   R.StoreWrites = 1;
+  R.StoreLockWaits = 5;
   R.Methods.push_back({"G::main", 2, 1});
   R.Methods.push_back({"G::helper", 1, 0});
   return R;
@@ -140,7 +141,11 @@ TEST(ShardProtocolTest, ResultRoundTripsWithEveryField) {
   EXPECT_EQ(Got.WorkerPid, R.WorkerPid);
   EXPECT_EQ(Got.Micros, R.Micros);
   EXPECT_EQ(Got.StoreHits, R.StoreHits);
+  EXPECT_EQ(Got.StoreMisses, R.StoreMisses);
+  EXPECT_EQ(Got.StoreRejected, R.StoreRejected);
+  EXPECT_EQ(Got.StoreQuarantined, R.StoreQuarantined);
   EXPECT_EQ(Got.StoreWrites, R.StoreWrites);
+  EXPECT_EQ(Got.StoreLockWaits, R.StoreLockWaits);
   ASSERT_EQ(Got.Methods.size(), R.Methods.size());
   for (size_t I = 0; I != R.Methods.size(); ++I) {
     EXPECT_EQ(Got.Methods[I].Method, R.Methods[I].Method);

@@ -5,9 +5,12 @@
 // one root while one of them crash-dies at every store-commit probe
 // (fork + _exit, so the kernel really does reclaim a dead holder's
 // lock). After every storm: reopen recovers, zero quarantined entries,
-// every committed entry reads back byte-exact.
+// every committed entry reads back byte-exact. Lock contention shows on
+// the certification report as StoreReport::LockWaits.
 //===----------------------------------------------------------------------===//
 
+#include "core/Certifier.h"
+#include "easl/Builtins.h"
 #include "store/CertStore.h"
 #include "support/Budget.h"
 
@@ -219,6 +222,51 @@ TEST(StoreContentionTest, ReplacedRootLocksTheNewLockFile) {
   }
   fs::remove_all(Dir);
   fs::remove_all(Snapshot);
+}
+
+// A commit that finds the store lock held backs off, and the report of
+// that certify call counts the backoff sleeps; calls that met no
+// contention report none, so the count is per call, not cumulative.
+TEST(StoreContentionTest, HeldLockShowsAsReportLockWaits) {
+  const std::string Dir = freshDir("report-waits");
+  core::CertifierOptions Opts;
+  Opts.StorePath = Dir;
+  DiagnosticEngine Diags;
+  const core::Certifier C(easl::cmpSpecSource(), core::EngineKind::SCMPIntra,
+                          Diags, wp::DerivationOptions{}, Opts);
+  ASSERT_FALSE(Diags.hasErrors()) << Diags.str();
+  auto Client = [](const char *Name) {
+    return std::string("class M {\n  void ") + Name +
+           "() {\n    Set s = new Set();\n    Iterator i = "
+           "s.iterator();\n    i.next();\n  }\n}\n";
+  };
+
+  const core::CertificationReport Cold =
+      C.certifySource(Client("main"), Diags);
+  ASSERT_EQ(Cold.Store.Writes, 1u);
+  EXPECT_EQ(Cold.Store.LockWaits, 0u);
+
+  // Hold LOCK while a call with a new unit must commit.
+  const int Fd = ::open((Dir + "/LOCK").c_str(), O_RDWR | O_CLOEXEC);
+  ASSERT_GE(Fd, 0);
+  ASSERT_EQ(::flock(Fd, LOCK_EX), 0);
+  core::CertificationReport Held;
+  std::thread Certify([&] {
+    DiagnosticEngine D;
+    Held = C.certifySource(Client("other"), D);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ::flock(Fd, LOCK_UN);
+  ::close(Fd);
+  Certify.join();
+  EXPECT_EQ(Held.Store.Writes, 1u);
+  EXPECT_GT(Held.Store.LockWaits, 0u);
+
+  const core::CertificationReport Warm =
+      C.certifySource(Client("other"), Diags);
+  EXPECT_EQ(Warm.Store.Hits, 1u);
+  EXPECT_EQ(Warm.Store.LockWaits, 0u);
+  fs::remove_all(Dir);
 }
 
 } // namespace

@@ -4,12 +4,15 @@
 # default preset, runs the two bench drivers that print
 # "BENCH_JSON {...}" lines for the relational TVLA engine, and appends
 # each line (tagged with a caller-supplied label) to the JSON-lines
-# file at the repo root. Also captures the persistent certificate
-# store's hit-rate lines (a cold run that fills the store followed by a
-# warm run that must answer everything from it) from canvas_certify,
-# and the sharded driver's shard-scaling / shard-store lines from
-# canvas_shard (serial reference, 1/2/4/8-way cold runs, and cold+warm
-# store pairs, serial and at 4 workers, over a 200-client corpus).
+# file at the repo root. Also keeps bench_interproc's interproc-ifds
+# line (per-client IFDS path edges, exploded nodes, summaries and
+# certify/witness micros of the Section 8 engine), and captures the
+# persistent certificate store's hit-rate lines (a cold run that fills
+# the store followed by a warm run that must answer everything from
+# it) from canvas_certify, and the sharded driver's shard-scaling /
+# shard-store lines from canvas_shard (serial reference, 1/2/4/8-way
+# cold runs, and cold+warm store pairs, serial and at 4 workers, over a
+# 200-client corpus).
 #
 # Usage: tools/bench_capture.sh [label]
 #   label   tag recorded with each line (default: "after"); use e.g.
@@ -30,15 +33,16 @@ JOBS="${JOBS:-$(nproc 2>/dev/null || echo 4)}"
 
 cmake --preset default >/dev/null
 cmake --build --preset default -j "$JOBS" \
-  --target bench_certification bench_scaling canvas_certify \
-  canvas_shard >/dev/null
+  --target bench_certification bench_scaling bench_interproc \
+  canvas_certify canvas_shard >/dev/null
 
 capture() {
-  # Keep only the driver's TVLA JSON payloads; drop the
-  # google-benchmark tables ("--benchmark_filter=NONE" skips the
-  # registered benchmarks) and the non-TVLA BENCH_JSON lines.
+  # Keep only the driver's TVLA and interproc-ifds JSON payloads; drop
+  # the google-benchmark tables ("--benchmark_filter=NONE" skips the
+  # registered benchmarks) and the other BENCH_JSON lines.
   "$1" --benchmark_filter=NONE 2>/dev/null |
-    sed -n 's/^BENCH_JSON //p' | grep '"bench":"tvla' || true
+    sed -n 's/^BENCH_JSON //p' |
+    grep -E '"bench":"(tvla|interproc-ifds")' || true
 }
 
 # Store hit rate: a cold certify fills the store, the warm rerun must
@@ -110,6 +114,7 @@ capture_shard() {
 {
   capture ./build/bench/bench_certification
   capture ./build/bench/bench_scaling
+  capture ./build/bench/bench_interproc
   capture_store
   capture_shard
 } | while IFS= read -r line; do
