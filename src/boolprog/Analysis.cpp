@@ -226,21 +226,9 @@ SlicedIntraResult bp::analyzeIntraprocSliced(
     // The witness engine tabulates the slice's exploded supergraph once,
     // and only when some check in this slice is actually flagged.
     std::unique_ptr<IntraWitnessEngine> WE;
-    for (size_t I = 0; I != BP.Checks.size(); ++I) {
-      SlicedCheckItem Item;
-      Item.Edge = BP.Checks[I].Edge;
-      Item.Rec.Loc = BP.Checks[I].Loc;
-      Item.Rec.What = BP.Checks[I].What;
-      Item.Rec.ReqLoc = BP.Checks[I].ReqLoc;
-      Item.Rec.Outcome = IR.CheckResults[I];
-      if (Item.Rec.Outcome == CheckOutcome::Potential ||
-          Item.Rec.Outcome == CheckOutcome::Definite) {
-        if (!WE)
-          WE = std::make_unique<IntraWitnessEngine>(BP);
-        Item.Rec.Witness = WE->witnessFor(I);
-      }
-      R.Items.push_back(std::move(Item));
-    }
+    for (size_t I = 0; I != BP.Checks.size(); ++I)
+      R.Items.push_back(
+          {BP.Checks[I].Edge, checkRecord(BP, I, IR.CheckResults[I], WE)});
   };
 
   if (Slices.empty()) {

@@ -200,3 +200,21 @@ core::WitnessTrace IntraWitnessEngine::witnessFor(size_t CheckIdx) const {
   T.Steps.push_back(renderCheckStep(*BP.CFG, BP, C));
   return T;
 }
+
+core::CheckRecord bp::checkRecord(const BooleanProgram &BP, size_t CheckIdx,
+                                  core::CheckOutcome Outcome,
+                                  std::unique_ptr<IntraWitnessEngine> &WE) {
+  const Check &C = BP.Checks[CheckIdx];
+  core::CheckRecord Rec;
+  Rec.Loc = C.Loc;
+  Rec.What = C.What;
+  Rec.ReqLoc = C.ReqLoc;
+  Rec.Outcome = Outcome;
+  if (Outcome == core::CheckOutcome::Potential ||
+      Outcome == core::CheckOutcome::Definite) {
+    if (!WE)
+      WE = std::make_unique<IntraWitnessEngine>(BP);
+    Rec.Witness = WE->witnessFor(CheckIdx);
+  }
+  return Rec;
+}

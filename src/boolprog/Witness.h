@@ -84,6 +84,15 @@ private:
   std::unique_ptr<Impl> I;
 };
 
+/// The report record of check \p CheckIdx of \p BP with verdict
+/// \p Outcome; Method is left for the caller to fill. A flagged verdict
+/// (Potential or Definite) carries its witness from \p WE, which is
+/// built on first use, so a program with no flagged check never
+/// tabulates its exploded supergraph.
+core::CheckRecord checkRecord(const BooleanProgram &BP, size_t CheckIdx,
+                              core::CheckOutcome Outcome,
+                              std::unique_ptr<IntraWitnessEngine> &WE);
+
 } // namespace bp
 } // namespace canvas
 

@@ -3,6 +3,7 @@
 #include "support/Lexer.h"
 
 #include <algorithm>
+#include <map>
 
 using namespace canvas;
 using namespace canvas::cj;
@@ -328,7 +329,34 @@ private:
 
 } // namespace
 
+/// Rejects a second class of one name, and a second method of one name
+/// within a class, at the second definition. Certification units,
+/// certificates, and store entries are all keyed by "Class::method", and
+/// calls resolve by name to the first definition, so a duplicate would
+/// leave its unit unverifiable. Nameless declarations (already
+/// diagnosed by the parser's recovery) are skipped.
+static void checkUniqueNames(const Program &P, DiagnosticEngine &Diags) {
+  std::map<std::string, SourceLoc> Classes;
+  for (const CClass &C : P.Classes) {
+    auto [First, New] = Classes.emplace(C.Name, C.Loc);
+    if (!C.Name.empty() && !New)
+      Diags.error(C.Loc, "duplicate class '" + C.Name +
+                             "' (first defined at " + First->second.str() +
+                             ")");
+    std::map<std::string, SourceLoc> Methods;
+    for (const CMethod &M : C.Methods) {
+      auto [FirstM, NewM] = Methods.emplace(M.Name, M.Loc);
+      if (!M.Name.empty() && !NewM)
+        Diags.error(M.Loc, "duplicate method '" + C.Name + "::" + M.Name +
+                               "' (first defined at " + FirstM->second.str() +
+                               ")");
+    }
+  }
+}
+
 Program cj::parseProgram(std::string_view Source, DiagnosticEngine &Diags) {
   std::vector<Token> Tokens = lexSource(Source, Diags);
-  return ClientParser(std::move(Tokens), Diags).run();
+  Program P = ClientParser(std::move(Tokens), Diags).run();
+  checkUniqueNames(P, Diags);
+  return P;
 }

@@ -174,9 +174,12 @@ Certifier::certifySource(std::string_view ClientSource,
 
 namespace {
 
-/// Everything one engine rung produces. Kept separate from the report
-/// and merged only when the rung completes, so a rung that throws
-/// mid-run leaves no partial verdicts behind.
+/// Everything one engine rung produces, and equally everything one of
+/// its units produces: each unit writes a private EngineRun (with a
+/// private DiagnosticEngine, as the caller's is not thread-safe), and
+/// mergeUnits adds them up in unit order. Kept separate from the report
+/// and merged into it only when the rung completes, so a rung that
+/// throws mid-run leaves no partial verdicts or diagnostics behind.
 struct EngineRun {
   std::vector<CheckVerdict> Checks;
   std::vector<LintFinding> Lints;
@@ -189,6 +192,7 @@ struct EngineRun {
   size_t MaxBoolVars = 0;
   std::vector<cert::Certificate> Certs;
   double EmitMicros = 0;
+  DiagnosticEngine Diags;
 };
 
 /// Runs \p Fn and adds its wall-clock time to \p Micros.
@@ -242,6 +246,10 @@ bool validateStoreEntry(const store::StoreEntry &E, EngineKind Engine,
   }
   if (E.Cert.Unit != E.Unit) {
     Why = "certificate unit '" + E.Cert.Unit + "' does not match entry unit";
+    return false;
+  }
+  if (E.HasSummary && Engine != EngineKind::SCMPIntra) {
+    Why = "entry carries a slice summary but its engine does not slice";
     return false;
   }
   const bool Ifds = E.Cert.Kind == cert::CertKind::Ifds;
@@ -312,54 +320,36 @@ bool validateStoreEntry(const store::StoreEntry &E, EngineKind Engine,
 }
 
 /// Assembles the store entries for the units the requested rung
-/// actually analyzed (hits are skipped — they are already on disk).
-/// Checks, certificates, and slice summaries are regrouped from the
-/// merged report by unit name; a unit that somehow lacks a certificate
+/// actually analyzed (hits are skipped — they are already on disk), each
+/// from that unit's own result. A unit that somehow lacks a certificate
 /// is not persisted rather than committing an entry the hit gate would
 /// reject forever.
 std::vector<store::StoreEntry>
-buildStoreEntries(EngineKind Engine,
+buildStoreEntries(EngineKind Engine, const std::vector<std::string> &Units,
+                  const std::vector<EngineRun> &UnitRuns,
                   const std::map<std::string, uint64_t> &UnitHashes,
-                  const std::map<std::string, store::StoreEntry> &Hits,
-                  const CertificationReport &Report) {
-  std::map<std::string, store::StoreEntry> ByUnit;
-  for (const auto &[Unit, Hash] : UnitHashes) {
-    if (Hits.count(Unit))
+                  const std::map<std::string, store::StoreEntry> &Hits) {
+  std::vector<store::StoreEntry> Out;
+  for (size_t I = 0; I != Units.size(); ++I) {
+    const EngineRun &U = UnitRuns[I];
+    auto Hash = UnitHashes.find(Units[I]);
+    if (Hash == UnitHashes.end() || Hits.count(Units[I]) || U.Certs.empty())
       continue;
     store::StoreEntry E;
-    E.InputHash = Hash;
-    E.Unit = Unit;
+    E.InputHash = Hash->second;
+    E.Unit = Units[I];
     E.Engine = engineName(Engine);
-    ByUnit.emplace(Unit, std::move(E));
+    E.Checks = U.Checks;
+    E.HasCert = true;
+    E.Cert = U.Certs.front();
+    E.CertHash = E.Cert.ContentHash;
+    if (!U.SliceSummaries.empty()) {
+      E.HasSummary = true;
+      E.Slices = U.SliceSummaries.front().Slices;
+      E.ForcedSingleReason = U.SliceSummaries.front().ForcedSingleReason;
+    }
+    Out.push_back(std::move(E));
   }
-  // The interprocedural engine's checks span methods but belong to the
-  // single whole-program unit "".
-  const bool Interproc = Engine == EngineKind::SCMPInterproc;
-  for (const CheckVerdict &C : Report.Checks) {
-    auto It = ByUnit.find(Interproc ? std::string() : C.Method);
-    if (It != ByUnit.end())
-      It->second.Checks.push_back(C);
-  }
-  for (const cert::Certificate &C : Report.Certificates) {
-    auto It = ByUnit.find(C.Unit);
-    if (It == ByUnit.end())
-      continue;
-    It->second.HasCert = true;
-    It->second.Cert = C;
-    It->second.CertHash = C.ContentHash;
-  }
-  for (const MethodSliceSummary &MS : Report.SliceSummaries) {
-    auto It = ByUnit.find(MS.Method);
-    if (It == ByUnit.end())
-      continue;
-    It->second.HasSummary = true;
-    It->second.Slices = MS.Slices;
-    It->second.ForcedSingleReason = MS.ForcedSingleReason;
-  }
-  std::vector<store::StoreEntry> Out;
-  for (auto &UnitAndEntry : ByUnit)
-    if (UnitAndEntry.second.HasCert)
-      Out.push_back(std::move(UnitAndEntry.second));
   return Out;
 }
 
@@ -373,6 +363,21 @@ void attachLints(std::vector<LintFinding> &Lints,
              "' may be used before initialization in '" + U.ActionText + "'",
          U.RequiresBearing});
   }
+}
+
+/// Stage 0 run for its lint alone, without the transformations: the
+/// lint every rung but the plain SCMPIntra one takes, and the lint of
+/// the ladder's lint-only floor.
+void runStage0Lint(const cj::ClientCFG &CFG, const wp::DerivedAbstraction &Abs,
+                   const dataflow::PreAnalysisOptions &Pre,
+                   support::CancelToken &Tok, std::vector<LintFinding> &Lints,
+                   PreAnalysisSummary &Summary) {
+  dataflow::PreAnalysisOptions LintOnly = Pre;
+  LintOnly.EliminateDeadStores = false;
+  LintOnly.Slice = false;
+  LintOnly.Cancel = &Tok;
+  attachLints(Lints, dataflow::preAnalyze(CFG, Abs, LintOnly));
+  Summary.Enabled = true;
 }
 
 /// The method abstraction governing \p A's requires obligations, or
@@ -421,37 +426,26 @@ void enumerateObligations(const wp::DerivedAbstraction &Abs,
   }
 }
 
-/// The per-slice certificate-mode result for one method: verdicts in
-/// canonical check order plus the SlicePartition certificate.
-struct SlicedCertAttempt {
-  std::vector<CheckVerdict> Checks;
-  cert::Certificate Cert;
-  size_t BoolVars = 0;
-  size_t MaxSliceBoolVars = 0;
-  unsigned SliceRuns = 0;
-  MethodSliceSummary Summary;
-  double EmitMicros = 0;
-};
-
-/// Attempts per-slice certification of \p M under certificate emission:
-/// the slicing gates and partition are recomputed on the untransformed
-/// method, each slice's restricted boolean program is analyzed
-/// independently, and the verdicts are merged in the canonical
-/// (unrestricted) check order the SlicePartition certificate claims
-/// against. Returns false — the caller then runs the plain unsliced
-/// path — when the method does not split, a slicing gate fires, a
-/// Definite verdict requires the unsliced confirmation run, or the
-/// canonical check mapping cannot be established. \p Summary is filled
-/// whenever the method has component variables, success or not.
+/// Attempts per-slice certification of \p M under certificate emission,
+/// writing the unit's result into \p Out: the slicing gates and
+/// partition are recomputed on the untransformed method, each slice's
+/// restricted boolean program is analyzed independently, and the
+/// verdicts are merged in the canonical (unrestricted) check order the
+/// SlicePartition certificate claims against. Returns false — the
+/// caller then runs the plain unsliced path — when the method does not
+/// split, a slicing gate fires, a Definite verdict requires the unsliced
+/// confirmation run, or the canonical check mapping cannot be
+/// established; \p Out then holds only the method's slice summary,
+/// which is recorded whenever the method has component variables.
 bool certifyMethodSliced(const wp::DerivedAbstraction &Abs,
                          const cj::CFGMethod &M,
                          const dataflow::PointsToResult *PT,
                          detail::PointsToCache *GateMemo,
-                         support::CancelToken *Tok, SlicedCertAttempt &Out) {
+                         support::CancelToken *Tok, EngineRun &Out) {
   if (M.CompVars.empty())
     return false;
-  Out.Summary.Method = M.name();
-  Out.Summary.Slices = 1;
+  Out.SliceSummaries.push_back({M.name(), 1, ""});
+  MethodSliceSummary &Summary = Out.SliceSummaries.back();
 
   // \p GateMemo is only handed in when PT is the memo's own cached
   // solution (same program key), so a recorded rejection replays
@@ -461,7 +455,7 @@ bool certifyMethodSliced(const wp::DerivedAbstraction &Abs,
     std::lock_guard<std::mutex> L(GateMemo->Mu);
     auto It = GateMemo->RejectedGates.find(M.name());
     if (It != GateMemo->RejectedGates.end()) {
-      Out.Summary = It->second;
+      Summary = It->second;
       return false;
     }
   }
@@ -485,13 +479,13 @@ bool certifyMethodSliced(const wp::DerivedAbstraction &Abs,
   dataflow::SliceResult SR = dataflow::computeSlices(
       M, Universe, !DA.clean(), dataflow::abstractionReadsRetSources(Abs),
       Alias, &Cost);
-  Out.Summary.Slices = static_cast<unsigned>(SR.Slices.size());
+  Summary.Slices = static_cast<unsigned>(SR.Slices.size());
   if (SR.ForcedSingleReason)
-    Out.Summary.ForcedSingleReason = SR.ForcedSingleReason;
+    Summary.ForcedSingleReason = SR.ForcedSingleReason;
   if (SR.Slices.size() < 2) {
     if (GateMemo) {
       std::lock_guard<std::mutex> L(GateMemo->Mu);
-      GateMemo->RejectedGates.emplace(M.name(), Out.Summary);
+      GateMemo->RejectedGates.emplace(M.name(), Summary);
     }
     return false;
   }
@@ -553,91 +547,153 @@ bool certifyMethodSliced(const wp::DerivedAbstraction &Abs,
 
   // Merged verdicts in canonical order; witnesses come from the owning
   // slice's engine (the restricted program runs on the original CFG, so
-  // no edge remapping is needed).
+  // no edge remapping is needed). The owning slice's check has the
+  // canonical check's location and text, as the mapping checked.
   std::vector<CheckOutcome> Outcomes(CanonChecks.size());
   std::vector<std::unique_ptr<bp::IntraWitnessEngine>> WEs(BPs.size());
   for (size_t I = 0; I != CanonChecks.size(); ++I) {
     const int SI = Owner[I].first, J = Owner[I].second;
     Outcomes[I] = Rs[SI].CheckResults[J];
-    CheckVerdict V;
-    V.Method = M.name();
-    V.Loc = CanonChecks[I].Loc;
-    V.What = CanonChecks[I].What;
-    V.ReqLoc = CanonChecks[I].ReqLoc;
-    V.Outcome = Outcomes[I];
-    if (V.Outcome == CheckOutcome::Potential) {
-      if (!WEs[SI])
-        WEs[SI] = std::make_unique<bp::IntraWitnessEngine>(BPs[SI]);
-      V.Witness = WEs[SI]->witnessFor(J);
-    }
-    Out.Checks.push_back(std::move(V));
+    Out.Checks.push_back(bp::checkRecord(BPs[SI], J, Outcomes[I], WEs[SI]));
+    Out.Checks.back().Method = M.name();
   }
 
   std::vector<cert::SliceEvidence> Ev;
   Ev.reserve(BPs.size());
   for (size_t SI = 0; SI != BPs.size(); ++SI)
     Ev.push_back({SR.Slices[SI], &BPs[SI], &Rs[SI]});
-  Out.Cert = timed(Out.EmitMicros, [&] {
+  Out.Certs.push_back(timed(Out.EmitMicros, [&] {
     // Mode-1 (points-to) evidence only when the partition actually used
     // the alias groups; a legacy partition is checkable by the local
     // gates alone.
     return cert::emitSlicePartition(M, Ev, Outcomes, MayUninit,
                                     Alias ? PT : nullptr);
-  });
-  Out.SliceRuns = static_cast<unsigned>(BPs.size());
+  }));
+  Out.Pre.SliceRuns = static_cast<unsigned>(BPs.size());
   for (const bp::BooleanProgram &BP : BPs) {
     Out.BoolVars += BP.Vars.size();
-    Out.MaxSliceBoolVars = std::max(Out.MaxSliceBoolVars, BP.Vars.size());
+    Out.MaxBoolVars = std::max(Out.MaxBoolVars, BP.Vars.size());
   }
   return true;
+}
+
+/// The units a rung runs: one per client method, or the single
+/// whole-program unit "" for the interprocedural engine. Store entries
+/// are keyed by the same names.
+std::vector<std::string> rungUnits(EngineKind K, const cj::ClientCFG &CFG) {
+  if (K == EngineKind::SCMPInterproc)
+    return {std::string()};
+  std::vector<std::string> Units;
+  Units.reserve(CFG.Methods.size());
+  for (const cj::CFGMethod &M : CFG.Methods)
+    Units.push_back(M.name());
+  return Units;
+}
+
+/// Analyzes unit \p I of a rung into its private result.
+using UnitAnalysis = std::function<void(size_t I, EngineRun &Out)>;
+
+/// The per-unit driver every rung runs through: one task per unit on
+/// \p Pool, each writing its own EngineRun. A unit with a checker-gated
+/// store hit (\p StoreHits, validated by the supervisor before the
+/// fan-out and only read concurrently) reproduces the entry's verdicts,
+/// certificate, and slice summary; every other unit runs \p Analyze.
+std::vector<EngineRun>
+runUnits(const std::vector<std::string> &Units,
+         const std::map<std::string, store::StoreEntry> *StoreHits,
+         support::TaskPool &Pool, const UnitAnalysis &Analyze) {
+  std::vector<EngineRun> Out(Units.size());
+  std::vector<std::function<void()>> Tasks;
+  Tasks.reserve(Units.size());
+  for (size_t I = 0; I != Units.size(); ++I)
+    Tasks.push_back([&, I] {
+      if (StoreHits) {
+        auto Hit = StoreHits->find(Units[I]);
+        if (Hit != StoreHits->end()) {
+          const store::StoreEntry &SE = Hit->second;
+          Out[I].Checks = SE.Checks;
+          Out[I].Certs.push_back(SE.Cert);
+          if (SE.HasSummary)
+            Out[I].SliceSummaries.push_back(
+                {Units[I], SE.Slices, SE.ForcedSingleReason});
+          return;
+        }
+      }
+      Analyze(I, Out[I]);
+    });
+  Pool.runAll(Tasks);
+  return Out;
+}
+
+/// Adds a rung's unit results up onto \p Run, which carries the rung's
+/// prelude (lints, Stage-0 and points-to statistics): verdicts,
+/// certificates, slice summaries, and diagnostics are appended in unit
+/// order, counters summed, peaks maxed. A method counts as multi-slice
+/// when its slice summary has more than one slice.
+void mergeUnits(EngineRun &Run, std::vector<EngineRun> &Units) {
+  for (EngineRun &U : Units) {
+    for (CheckVerdict &V : U.Checks)
+      Run.Checks.push_back(std::move(V));
+    for (cert::Certificate &C : U.Certs)
+      Run.Certs.push_back(std::move(C));
+    for (MethodSliceSummary &MS : U.SliceSummaries) {
+      Run.Pre.MultiSliceMethods += MS.Slices > 1;
+      Run.SliceSummaries.push_back(std::move(MS));
+    }
+    Run.Diags.mergeFrom(U.Diags);
+    Run.Pre.SliceRuns += U.Pre.SliceRuns;
+    Run.Pre.FallbackMethods += U.Pre.FallbackMethods;
+    Run.PointsTo.PrunedMethods += U.PointsTo.PrunedMethods;
+    Run.Inter.SummaryIterations += U.Inter.SummaryIterations;
+    Run.Inter.ExplodedNodes += U.Inter.ExplodedNodes;
+    Run.Inter.PathEdges += U.Inter.PathEdges;
+    Run.Inter.Summaries += U.Inter.Summaries;
+    Run.Inter.WitnessMicros += U.Inter.WitnessMicros;
+    Run.Tvla.InternedStructures += U.Tvla.InternedStructures;
+    Run.Tvla.TransferCacheHits += U.Tvla.TransferCacheHits;
+    Run.Tvla.TransferCacheMisses += U.Tvla.TransferCacheMisses;
+    Run.Tvla.MaxStructuresPerPoint = std::max(Run.Tvla.MaxStructuresPerPoint,
+                                              U.Tvla.MaxStructuresPerPoint);
+    Run.BoolVars += U.BoolVars;
+    Run.MaxBoolVars = std::max(Run.MaxBoolVars, U.MaxBoolVars);
+    Run.EmitMicros += U.EmitMicros;
+  }
 }
 
 /// Runs one ladder rung to completion under \p Tok's budget; throws
 /// CertifyError on exhaustion, injected faults, or checked invariants.
 ///
-/// Per-method engines (SCMPIntra, GenericAllocSite, both TVLA modes)
-/// fan their methods out on \p Pool: each task analyzes one method into
-/// a private slot with a private DiagnosticEngine (the shared engine is
-/// not thread-safe), and slots are merged in method-index order after
-/// the pool drains. A rung that throws merges nothing — no partial
-/// verdicts and no partial diagnostics. SCMPInterproc is a
-/// whole-program analysis and stays serial.
-///
-/// \p StoreHits, when non-null, maps unit names to pre-validated store
-/// entries (checker-gated by the supervisor before the fan-out): a task
-/// whose unit has a hit reproduces the stored verdicts, certificate,
-/// and slice summary instead of running the engine. The map is only
-/// read concurrently.
-void runEngine(EngineKind K, const easl::Spec &S,
-               const wp::DerivedAbstraction &Abs,
-               const CertifierOptions &Opts, const cj::ClientCFG &CFG,
-               const std::map<std::string, store::StoreEntry> *StoreHits,
-               detail::PointsToCache *PTC, DiagnosticEngine &Diags,
-               support::CancelToken &Tok, support::TaskPool &Pool,
-               EngineRun &Run) {
+/// Each engine contributes a prelude, run once into \p Run (the Stage-0
+/// lint or pre-analysis, the points-to solve), and the analysis of one
+/// unit, which runUnits fans out over \p Units on \p Pool. Returns the
+/// unit results, in unit order, for the caller to merge once the rung's
+/// certificates have been checked.
+std::vector<EngineRun>
+runEngine(EngineKind K, const easl::Spec &S, const wp::DerivedAbstraction &Abs,
+          const CertifierOptions &Opts, const cj::ClientCFG &CFG,
+          const std::vector<std::string> &Units,
+          const std::map<std::string, store::StoreEntry> *StoreHits,
+          detail::PointsToCache *PTC, support::CancelToken &Tok,
+          support::TaskPool &Pool, EngineRun &Run) {
   // The Stage-0 lint runs for every engine; SCMPIntra folds it into its
   // own pre-analysis below — except in certificate-emission mode, where
   // SCMPIntra skips the verdict-preserving transformations (a sliced
   // annotation is not independently checkable) and takes the lint here
   // like everyone else.
   if (Opts.PreAnalysis &&
-      (K != EngineKind::SCMPIntra || Opts.EmitCertificates)) {
-    dataflow::PreAnalysisOptions LintOnly = Opts.Pre;
-    LintOnly.EliminateDeadStores = false;
-    LintOnly.Slice = false;
-    LintOnly.Cancel = &Tok;
-    dataflow::PreAnalysisResult PA = dataflow::preAnalyze(CFG, Abs, LintOnly);
-    attachLints(Run.Lints, PA);
-    Run.Pre.Enabled = true;
-  }
+      (K != EngineKind::SCMPIntra || Opts.EmitCertificates))
+    runStage0Lint(CFG, Abs, Opts.Pre, Tok, Run.Lints, Run.Pre);
 
+  // Prelude results the unit analyses read; they outlive the fan-out.
+  std::shared_ptr<const dataflow::PointsToResult> PT;
+  dataflow::PreAnalysisResult PA;
+  UnitAnalysis Analyze;
   switch (K) {
   case EngineKind::SCMPIntra: {
     // Optional whole-program points-to & escape pre-analysis. A failure
     // here (budget exhaustion, the injected "points-to" fault) degrades
     // precision — the engine continues with the unrefined slicing gates
     // — rather than failing the rung.
-    std::shared_ptr<const dataflow::PointsToResult> PT;
     if (Opts.PointsTo && CFG.Prog) {
       // The solve is whole-program and the spec/abstraction are fixed
       // per certifier, so the structural program hash alone keys the
@@ -684,354 +740,184 @@ void runEngine(EngineKind K, const easl::Spec &S,
         }
     }
 
-    // The gate memo is only valid alongside its own points-to solution.
-    detail::PointsToCache *GateMemo = PT && PTC ? PTC : nullptr;
-
     if (!Opts.PreAnalysis || Opts.EmitCertificates) {
+      // The gate memo is only valid alongside its own points-to solution.
+      detail::PointsToCache *GateMemo = PT && PTC ? PTC : nullptr;
       const bool TrySliced =
           Opts.EmitCertificates && Opts.PreAnalysis && Opts.Pre.Slice;
-      struct Slot {
-        std::vector<CheckVerdict> Checks;
-        std::vector<cert::Certificate> Certs;
-        DiagnosticEngine Diags;
-        MethodSliceSummary Summary;
-        unsigned SliceRuns = 0;
-        bool FellBack = false;
-        size_t BoolVars = 0;
-        size_t MaxBoolVars = 0;
-        double EmitMicros = 0;
+      Analyze = [&, GateMemo, TrySliced](size_t I, EngineRun &Out) {
+        const cj::CFGMethod &M = CFG.Methods[I];
+        if (TrySliced) {
+          if (certifyMethodSliced(Abs, M, PT.get(), GateMemo, &Tok, Out))
+            return;
+          // The method split but could not be certified per-slice
+          // (definite violation or no canonical mapping): rerun
+          // unsliced below, like the non-certificate fallback.
+          Out.Pre.FallbackMethods = !Out.SliceSummaries.empty() &&
+                                    Out.SliceSummaries.front().Slices > 1;
+        }
+        bp::BooleanProgram BP = bp::buildBooleanProgram(Abs, M, Out.Diags);
+        bp::IntraResult R = bp::analyzeIntraproc(BP, &Tok);
+        Out.BoolVars = Out.MaxBoolVars = BP.Vars.size();
+        if (Opts.EmitCertificates)
+          Out.Certs.push_back(timed(
+              Out.EmitMicros, [&] { return cert::emitBoolIntra(BP, R); }));
+        std::unique_ptr<bp::IntraWitnessEngine> WE;
+        for (size_t C = 0; C != BP.Checks.size(); ++C) {
+          Out.Checks.push_back(bp::checkRecord(BP, C, R.CheckResults[C], WE));
+          Out.Checks.back().Method = M.name();
+        }
       };
-      std::vector<Slot> Slots(CFG.Methods.size());
-      std::vector<std::function<void()>> Tasks;
-      Tasks.reserve(CFG.Methods.size());
-      for (size_t MI = 0; MI != CFG.Methods.size(); ++MI)
-        Tasks.push_back([&, MI] {
-          const cj::CFGMethod &M = CFG.Methods[MI];
-          Slot &Out = Slots[MI];
-          if (StoreHits) {
-            auto HitIt = StoreHits->find(M.name());
-            if (HitIt != StoreHits->end()) {
-              const store::StoreEntry &SE = HitIt->second;
-              Out.Checks = SE.Checks;
-              Out.Certs.push_back(SE.Cert);
-              if (SE.HasSummary) {
-                Out.Summary.Method = M.name();
-                Out.Summary.Slices = SE.Slices;
-                Out.Summary.ForcedSingleReason = SE.ForcedSingleReason;
-              }
-              return;
-            }
-          }
-          if (TrySliced) {
-            SlicedCertAttempt A;
-            if (certifyMethodSliced(Abs, M, PT.get(), GateMemo, &Tok, A)) {
-              Out.Checks = std::move(A.Checks);
-              Out.Certs.push_back(std::move(A.Cert));
-              Out.BoolVars = A.BoolVars;
-              Out.MaxBoolVars = A.MaxSliceBoolVars;
-              Out.SliceRuns = A.SliceRuns;
-              Out.Summary = std::move(A.Summary);
-              Out.EmitMicros = A.EmitMicros;
-              return;
-            }
-            // The method split but could not be certified per-slice
-            // (definite violation or no canonical mapping): rerun
-            // unsliced below, like the non-certificate fallback.
-            Out.FellBack = A.Summary.Slices > 1;
-            Out.Summary = std::move(A.Summary);
-          }
-          bp::BooleanProgram BP = bp::buildBooleanProgram(Abs, M, Out.Diags);
-          bp::IntraResult R = bp::analyzeIntraproc(BP, &Tok);
-          Out.BoolVars = BP.Vars.size();
-          Out.MaxBoolVars = BP.Vars.size();
-          if (Opts.EmitCertificates)
-            Out.Certs.push_back(timed(
-                Out.EmitMicros, [&] { return cert::emitBoolIntra(BP, R); }));
-          std::unique_ptr<bp::IntraWitnessEngine> WE;
-          for (size_t I = 0; I != BP.Checks.size(); ++I) {
-            CheckVerdict V;
-            V.Method = M.name();
-            V.Loc = BP.Checks[I].Loc;
-            V.What = BP.Checks[I].What;
-            V.Outcome = R.CheckResults[I];
-            V.ReqLoc = BP.Checks[I].ReqLoc;
-            if (V.Outcome == CheckOutcome::Potential ||
-                V.Outcome == CheckOutcome::Definite) {
-              if (!WE)
-                WE = std::make_unique<bp::IntraWitnessEngine>(BP);
-              V.Witness = WE->witnessFor(I);
-            }
-            Out.Checks.push_back(std::move(V));
-          }
-        });
-      Pool.runAll(Tasks);
-      for (Slot &Out : Slots) {
-        Diags.mergeFrom(Out.Diags);
-        Run.BoolVars += Out.BoolVars;
-        Run.MaxBoolVars = std::max(Run.MaxBoolVars, Out.MaxBoolVars);
-        Run.EmitMicros += Out.EmitMicros;
-        Run.Pre.SliceRuns += Out.SliceRuns;
-        Run.Pre.FallbackMethods += Out.FellBack;
-        if (Out.Summary.Slices > 1)
-          ++Run.Pre.MultiSliceMethods;
-        if (!Out.Summary.Method.empty())
-          Run.SliceSummaries.push_back(std::move(Out.Summary));
-        for (CheckVerdict &V : Out.Checks)
-          Run.Checks.push_back(std::move(V));
-        for (cert::Certificate &Cert : Out.Certs)
-          Run.Certs.push_back(std::move(Cert));
-      }
-      return;
+      break;
     }
 
     dataflow::PreAnalysisOptions PreOpts = Opts.Pre;
     PreOpts.Cancel = &Tok;
     PreOpts.PointsTo = PT.get();
-    dataflow::PreAnalysisResult PA = dataflow::preAnalyze(CFG, Abs, PreOpts);
+    PA = dataflow::preAnalyze(CFG, Abs, PreOpts);
     attachLints(Run.Lints, PA);
     Run.Pre.Enabled = true;
     Run.Pre.EdgesPruned = PA.totalEdgesPruned();
     Run.Pre.DeadStoresRemoved = PA.totalDeadStores();
     Run.Pre.VarsDropped = PA.totalVarsDropped();
-    Run.Pre.MultiSliceMethods = PA.multiSliceMethods();
-    for (const dataflow::MethodPlan &Plan : PA.Plans)
-      if (!Plan.Retained.empty()) {
-        MethodSliceSummary MS;
-        MS.Method = Plan.Source->name();
-        MS.Slices = static_cast<unsigned>(Plan.Slices.size());
-        if (Plan.ForcedSingleReason)
-          MS.ForcedSingleReason = Plan.ForcedSingleReason;
-        Run.SliceSummaries.push_back(std::move(MS));
-      }
 
     // Closed-world pruning: under a solved points-to system with a
     // main() method, a method unreachable along the resolved call graph
     // never executes, so its obligations are discharged as Unreachable
     // without running the engine.
     const bool Prune = PT && PT->Sys.HasMain;
-
-    struct Slot {
-      std::vector<CheckVerdict> Checks;
-      DiagnosticEngine Diags;
-      unsigned SliceRuns = 0;
-      unsigned FellBack = 0;
-      bool Pruned = false;
-      size_t BoolVars = 0;
-      size_t MaxSliceBoolVars = 0;
-    };
-    std::vector<Slot> Slots(PA.Plans.size());
-    std::vector<std::function<void()>> Tasks;
-    Tasks.reserve(PA.Plans.size());
-    for (size_t PI = 0; PI != PA.Plans.size(); ++PI)
-      Tasks.push_back([&, PI] {
-        const dataflow::MethodPlan &Plan = PA.Plans[PI];
-        Slot &Out = Slots[PI];
-        if (Prune && !PT->Reachable.count(Plan.Source->name())) {
-          Out.Pruned = true;
-          enumerateObligations(Abs, *Plan.Source, "", Out.Checks,
-                               CheckOutcome::Unreachable, false);
-          return;
-        }
-        bp::SlicedIntraResult SR = bp::analyzeIntraprocSliced(
-            Abs, Plan.CFG, Plan.Slices, Out.Diags, &Tok);
-        Out.SliceRuns = SR.SliceRuns;
-        Out.FellBack = SR.FellBack;
-        Out.BoolVars = SR.BoolVars;
-        Out.MaxSliceBoolVars = SR.MaxSliceBoolVars;
-
-        // Interleave the engine's verdicts with the obligations of
-        // pruned (entry-unreachable) edges, restoring original edge
-        // order.
-        const std::string Name = Plan.Source->name();
-        size_t I = 0, D = 0;
-        while (I != SR.Items.size() || D != Plan.DroppedChecks.size()) {
-          bool TakeDropped =
-              I == SR.Items.size() ||
-              (D != Plan.DroppedChecks.size() &&
-               Plan.DroppedChecks[D].OrigEdge <
-                   Plan.OrigEdgeIndex[SR.Items[I].Edge]);
-          if (TakeDropped) {
-            const dataflow::DroppedCheck &DC = Plan.DroppedChecks[D++];
-            CheckRecord Rec;
-            Rec.Method = Name;
-            Rec.Loc = DC.Loc;
-            Rec.What = DC.What;
-            Rec.Outcome = CheckOutcome::Unreachable;
-            Out.Checks.push_back(std::move(Rec));
-          } else {
-            bp::SlicedCheckItem It = SR.Items[I++];
-            It.Rec.Method = Name;
-            // Witness steps refer to the transformed working copy;
-            // remap them onto the original method so the story (and the
-            // replay checker) sees the untransformed source edges.
-            for (WitnessStep &WS : It.Rec.Witness.Steps) {
-              if (WS.Edge < 0 ||
-                  static_cast<size_t>(WS.Edge) >= Plan.OrigEdgeIndex.size())
-                continue;
-              WS.Edge = Plan.OrigEdgeIndex[WS.Edge];
-              const cj::Action &A = Plan.Source->Edges[WS.Edge].Act;
-              WS.Loc = A.Loc;
-              if (WS.K != WitnessStep::Kind::Check)
-                WS.ActionText = A.str();
-            }
-            Out.Checks.push_back(std::move(It.Rec));
-          }
-        }
-      });
-    Pool.runAll(Tasks);
-    for (Slot &Out : Slots) {
-      Diags.mergeFrom(Out.Diags);
-      Run.Pre.SliceRuns += Out.SliceRuns;
-      Run.Pre.FallbackMethods += Out.FellBack;
-      Run.PointsTo.PrunedMethods += Out.Pruned;
-      Run.BoolVars += Out.BoolVars;
-      Run.MaxBoolVars = std::max(Run.MaxBoolVars, Out.MaxSliceBoolVars);
-      for (CheckVerdict &V : Out.Checks)
-        Run.Checks.push_back(std::move(V));
-    }
-    return;
-  }
-  case EngineKind::SCMPInterproc: {
-    if (StoreHits) {
-      auto HitIt = StoreHits->find(std::string());
-      if (HitIt != StoreHits->end()) {
-        Run.Checks = HitIt->second.Checks;
-        Run.Certs.push_back(HitIt->second.Cert);
+    // PA.Plans is indexed like CFG.Methods, hence like the units.
+    Analyze = [&, Prune](size_t PI, EngineRun &Out) {
+      const dataflow::MethodPlan &Plan = PA.Plans[PI];
+      if (!Plan.Retained.empty())
+        Out.SliceSummaries.push_back(
+            {Plan.Source->name(), static_cast<unsigned>(Plan.Slices.size()),
+             Plan.ForcedSingleReason ? Plan.ForcedSingleReason : ""});
+      if (Prune && !PT->Reachable.count(Plan.Source->name())) {
+        Out.PointsTo.PrunedMethods = 1;
+        enumerateObligations(Abs, *Plan.Source, "", Out.Checks,
+                             CheckOutcome::Unreachable, false);
         return;
       }
-    }
-    // The supervisor skips this rung when main() is absent.
-    const cj::CFGMethod *Main = CFG.mainCFG();
-    bp::InterprocModel Model(Abs, CFG, *Main, Diags);
-    bp::IfdsTabulation Tab;
-    bp::InterResult R = bp::analyzeInterproc(
-        Model, &Tok, Opts.EmitCertificates ? &Tab : nullptr);
-    if (Opts.EmitCertificates)
-      Run.Certs.push_back(
-          timed(Run.EmitMicros, [&] { return cert::emitIfds(Model, Tab); }));
-    Run.Inter.SummaryIterations = R.SummaryIterations;
-    Run.Inter.ExplodedNodes = R.ExplodedNodes;
-    Run.Inter.PathEdges = R.PathEdges;
-    Run.Inter.Summaries = R.Summaries;
-    Run.Inter.WitnessMicros = R.WitnessMicros;
-    Run.Checks = std::move(R.Checks);
-    return;
-  }
-  case EngineKind::GenericAllocSite: {
-    struct Slot {
-      std::vector<CheckVerdict> Checks;
-      std::vector<cert::Certificate> Certs;
-      double EmitMicros = 0;
-    };
-    std::vector<Slot> Slots(CFG.Methods.size());
-    std::vector<std::function<void()>> Tasks;
-    Tasks.reserve(CFG.Methods.size());
-    for (size_t MI = 0; MI != CFG.Methods.size(); ++MI)
-      Tasks.push_back([&, MI] {
-        const cj::CFGMethod &M = CFG.Methods[MI];
-        Slot &Out = Slots[MI];
-        if (StoreHits) {
-          auto HitIt = StoreHits->find(M.name());
-          if (HitIt != StoreHits->end()) {
-            Out.Checks = HitIt->second.Checks;
-            Out.Certs.push_back(HitIt->second.Cert);
-            return;
-          }
-        }
-        BaselineAnnotation Ann;
-        BaselineResult R = analyzeAllocSite(
-            S, M, &Tok, Opts.EmitCertificates ? &Ann : nullptr);
-        if (Opts.EmitCertificates)
-          Out.Certs.push_back(timed(Out.EmitMicros, [&] {
-            return cert::emitAllocSite(M, Ann, R);
-          }));
-        for (const auto &[Site, Flagged] : R.Flagged) {
+      bp::SlicedIntraResult SR = bp::analyzeIntraprocSliced(
+          Abs, Plan.CFG, Plan.Slices, Out.Diags, &Tok);
+      Out.Pre.SliceRuns = SR.SliceRuns;
+      Out.Pre.FallbackMethods = SR.FellBack;
+      Out.BoolVars = SR.BoolVars;
+      Out.MaxBoolVars = SR.MaxSliceBoolVars;
+
+      // Interleave the engine's verdicts with the obligations of
+      // pruned (entry-unreachable) edges, restoring original edge
+      // order.
+      const std::string Name = Plan.Source->name();
+      size_t I = 0, D = 0;
+      while (I != SR.Items.size() || D != Plan.DroppedChecks.size()) {
+        bool TakeDropped =
+            I == SR.Items.size() ||
+            (D != Plan.DroppedChecks.size() &&
+             Plan.DroppedChecks[D].OrigEdge <
+                 Plan.OrigEdgeIndex[SR.Items[I].Edge]);
+        if (TakeDropped) {
+          const dataflow::DroppedCheck &DC = Plan.DroppedChecks[D++];
           CheckRecord Rec;
-          Rec.Method = Site.Method;
-          Rec.Loc = M.Edges[Site.Edge].Act.Loc;
-          Rec.What = M.Edges[Site.Edge].Act.str() + " requires (spec " +
-                     Site.ReqLoc.str() + ")";
-          Rec.Outcome = Flagged ? CheckOutcome::Potential : CheckOutcome::Safe;
-          Rec.ReqLoc = Site.ReqLoc;
+          Rec.Method = Name;
+          Rec.Loc = DC.Loc;
+          Rec.What = DC.What;
+          Rec.Outcome = CheckOutcome::Unreachable;
           Out.Checks.push_back(std::move(Rec));
+        } else {
+          bp::SlicedCheckItem It = SR.Items[I++];
+          It.Rec.Method = Name;
+          // Witness steps refer to the transformed working copy;
+          // remap them onto the original method so the story (and the
+          // replay checker) sees the untransformed source edges.
+          for (WitnessStep &WS : It.Rec.Witness.Steps) {
+            if (WS.Edge < 0 ||
+                static_cast<size_t>(WS.Edge) >= Plan.OrigEdgeIndex.size())
+              continue;
+            WS.Edge = Plan.OrigEdgeIndex[WS.Edge];
+            const cj::Action &A = Plan.Source->Edges[WS.Edge].Act;
+            WS.Loc = A.Loc;
+            if (WS.K != WitnessStep::Kind::Check)
+              WS.ActionText = A.str();
+          }
+          Out.Checks.push_back(std::move(It.Rec));
         }
-      });
-    Pool.runAll(Tasks);
-    for (Slot &Out : Slots) {
-      Run.EmitMicros += Out.EmitMicros;
-      for (CheckVerdict &V : Out.Checks)
-        Run.Checks.push_back(std::move(V));
-      for (cert::Certificate &Cert : Out.Certs)
-        Run.Certs.push_back(std::move(Cert));
-    }
-    return;
+      }
+    };
+    break;
   }
+  case EngineKind::SCMPInterproc:
+    Analyze = [&](size_t, EngineRun &Out) {
+      // The supervisor skips this rung when main() is absent.
+      bp::InterprocModel Model(Abs, CFG, *CFG.mainCFG(), Out.Diags);
+      bp::IfdsTabulation Tab;
+      bp::InterResult R = bp::analyzeInterproc(
+          Model, &Tok, Opts.EmitCertificates ? &Tab : nullptr);
+      if (Opts.EmitCertificates)
+        Out.Certs.push_back(
+            timed(Out.EmitMicros, [&] { return cert::emitIfds(Model, Tab); }));
+      Out.Inter.SummaryIterations = R.SummaryIterations;
+      Out.Inter.ExplodedNodes = R.ExplodedNodes;
+      Out.Inter.PathEdges = R.PathEdges;
+      Out.Inter.Summaries = R.Summaries;
+      Out.Inter.WitnessMicros = R.WitnessMicros;
+      Out.Checks = std::move(R.Checks);
+    };
+    break;
+  case EngineKind::GenericAllocSite:
+    Analyze = [&](size_t I, EngineRun &Out) {
+      const cj::CFGMethod &M = CFG.Methods[I];
+      BaselineAnnotation Ann;
+      BaselineResult R = analyzeAllocSite(
+          S, M, &Tok, Opts.EmitCertificates ? &Ann : nullptr);
+      if (Opts.EmitCertificates)
+        Out.Certs.push_back(timed(
+            Out.EmitMicros, [&] { return cert::emitAllocSite(M, Ann, R); }));
+      for (const auto &[Site, Flagged] : R.Flagged) {
+        CheckRecord Rec;
+        Rec.Method = Site.Method;
+        Rec.Loc = M.Edges[Site.Edge].Act.Loc;
+        Rec.What = M.Edges[Site.Edge].Act.str() + " requires (spec " +
+                   Site.ReqLoc.str() + ")";
+        Rec.Outcome = Flagged ? CheckOutcome::Potential : CheckOutcome::Safe;
+        Rec.ReqLoc = Site.ReqLoc;
+        Out.Checks.push_back(std::move(Rec));
+      }
+    };
+    break;
   case EngineKind::TVLAIndependent:
-  case EngineKind::TVLARelational: {
-    struct Slot {
-      std::vector<CheckVerdict> Checks;
-      std::vector<cert::Certificate> Certs;
-      DiagnosticEngine Diags;
-      TVLAStats Tvla;
-      double EmitMicros = 0;
+  case EngineKind::TVLARelational:
+    Analyze = [&, K](size_t I, EngineRun &Out) {
+      const cj::CFGMethod &M = CFG.Methods[I];
+      tvla::TVLAOptions TO;
+      TO.Relational = K == EngineKind::TVLARelational;
+      TO.MaxStructuresPerPoint = Opts.TVLAMaxStructuresPerPoint;
+      TO.Cancel = &Tok;
+      tvla::PointAnnotation Ann;
+      if (Opts.EmitCertificates)
+        TO.AnnotationOut = &Ann;
+      tvla::TVLAResult R = tvla::certifyWithTVLA(S, Abs, M, TO, Out.Diags);
+      if (Opts.EmitCertificates)
+        Out.Certs.push_back(timed(Out.EmitMicros, [&] {
+          return cert::emitTvla(Abs, M, Ann, R, TO.Relational);
+        }));
+      Out.Tvla.InternedStructures = R.InternedStructures;
+      Out.Tvla.TransferCacheHits = R.TransferCacheHits;
+      Out.Tvla.TransferCacheMisses = R.TransferCacheMisses;
+      Out.Tvla.MaxStructuresPerPoint = R.MaxStructuresPerPoint;
+      for (const auto &C : R.Checks) {
+        CheckRecord Rec;
+        Rec.Method = M.name();
+        Rec.Loc = C.Loc;
+        Rec.What = C.What;
+        Rec.Outcome = C.Outcome;
+        Out.Checks.push_back(std::move(Rec));
+      }
     };
-    std::vector<Slot> Slots(CFG.Methods.size());
-    std::vector<std::function<void()>> Tasks;
-    Tasks.reserve(CFG.Methods.size());
-    for (size_t MI = 0; MI != CFG.Methods.size(); ++MI)
-      Tasks.push_back([&, MI, K] {
-        const cj::CFGMethod &M = CFG.Methods[MI];
-        Slot &Out = Slots[MI];
-        if (StoreHits) {
-          auto HitIt = StoreHits->find(M.name());
-          if (HitIt != StoreHits->end()) {
-            Out.Checks = HitIt->second.Checks;
-            Out.Certs.push_back(HitIt->second.Cert);
-            return;
-          }
-        }
-        tvla::TVLAOptions TO;
-        TO.Relational = K == EngineKind::TVLARelational;
-        TO.MaxStructuresPerPoint = Opts.TVLAMaxStructuresPerPoint;
-        TO.Cancel = &Tok;
-        tvla::PointAnnotation Ann;
-        if (Opts.EmitCertificates)
-          TO.AnnotationOut = &Ann;
-        tvla::TVLAResult R = tvla::certifyWithTVLA(S, Abs, M, TO, Out.Diags);
-        if (Opts.EmitCertificates)
-          Out.Certs.push_back(timed(Out.EmitMicros, [&] {
-            return cert::emitTvla(Abs, M, Ann, R, TO.Relational);
-          }));
-        Out.Tvla.InternedStructures = R.InternedStructures;
-        Out.Tvla.TransferCacheHits = R.TransferCacheHits;
-        Out.Tvla.TransferCacheMisses = R.TransferCacheMisses;
-        Out.Tvla.MaxStructuresPerPoint = R.MaxStructuresPerPoint;
-        for (const auto &C : R.Checks) {
-          CheckRecord Rec;
-          Rec.Method = M.name();
-          Rec.Loc = C.Loc;
-          Rec.What = C.What;
-          Rec.Outcome = C.Outcome;
-          Out.Checks.push_back(std::move(Rec));
-        }
-      });
-    Pool.runAll(Tasks);
-    for (Slot &Out : Slots) {
-      Diags.mergeFrom(Out.Diags);
-      Run.Tvla.InternedStructures += Out.Tvla.InternedStructures;
-      Run.Tvla.TransferCacheHits += Out.Tvla.TransferCacheHits;
-      Run.Tvla.TransferCacheMisses += Out.Tvla.TransferCacheMisses;
-      Run.Tvla.MaxStructuresPerPoint = std::max(
-          Run.Tvla.MaxStructuresPerPoint, Out.Tvla.MaxStructuresPerPoint);
-      Run.EmitMicros += Out.EmitMicros;
-      for (CheckVerdict &V : Out.Checks)
-        Run.Checks.push_back(std::move(V));
-      for (cert::Certificate &Cert : Out.Certs)
-        Run.Certs.push_back(std::move(Cert));
-    }
-    return;
+    break;
   }
-  }
+  return runUnits(Units, StoreHits, Pool, Analyze);
 }
 
 } // namespace
@@ -1202,10 +1088,19 @@ CertificationReport Certifier::certify(const cj::Program &P,
     StageAttempt At;
     At.Engine = engineName(K);
     try {
+      const std::vector<std::string> Units = rungUnits(K, CFG);
       EngineRun Run;
-      runEngine(K, S, Abs, EOpts, CFG,
-                Store && K == Engine ? &StoreHits : nullptr, PTCache.get(),
-                Diags, Tok, Pool, Run);
+      std::vector<EngineRun> UnitRuns =
+          runEngine(K, S, Abs, EOpts, CFG, Units,
+                    Store && K == Engine ? &StoreHits : nullptr,
+                    PTCache.get(), Tok, Pool, Run);
+      const bool Commit = Store && K == Engine &&
+                          EOpts.StoreMode == store::StoreMode::ReadWrite;
+      std::vector<store::StoreEntry> Entries;
+      if (Commit)
+        Entries =
+            buildStoreEntries(Engine, Units, UnitRuns, UnitHashes, StoreHits);
+      mergeUnits(Run, UnitRuns);
 
       CertificateStats CS;
       CS.EmitMicros = Run.EmitMicros;
@@ -1231,6 +1126,7 @@ CertificationReport Certifier::certify(const cj::Program &P,
         }
         CS.Checked = true;
       }
+      Diags.mergeFrom(Run.Diags);
       Report.Certificates = std::move(Run.Certs);
       Report.CertStats = CS;
 
@@ -1262,13 +1158,11 @@ CertificationReport Certifier::certify(const cj::Program &P,
             C.DegradeNote = Note;
           }
       }
-      if (Store && K == Engine &&
-          EOpts.StoreMode == store::StoreMode::ReadWrite) {
+      if (Commit) {
         // The commit section.
         std::lock_guard<std::mutex> Lock(StoreH->Mu);
         Before = Store->stats();
-        for (const store::StoreEntry &E :
-             buildStoreEntries(Engine, UnitHashes, StoreHits, Report)) {
+        for (const store::StoreEntry &E : Entries) {
           try {
             Store->put(E);
           } catch (const CertifyError &Err) {
@@ -1310,14 +1204,7 @@ CertificationReport Certifier::certify(const cj::Program &P,
   if (Opts.PreAnalysis) {
     try {
       support::CancelToken Unlimited;
-      dataflow::PreAnalysisOptions LintOnly = Opts.Pre;
-      LintOnly.EliminateDeadStores = false;
-      LintOnly.Slice = false;
-      LintOnly.Cancel = &Unlimited;
-      dataflow::PreAnalysisResult PA =
-          dataflow::preAnalyze(CFG, Abs, LintOnly);
-      attachLints(Report.Lints, PA);
-      Report.Pre.Enabled = true;
+      runStage0Lint(CFG, Abs, Opts.Pre, Unlimited, Report.Lints, Report.Pre);
     } catch (const CertifyError &) {
       // Even the lint failed (a second armed fault): obligations alone.
     }

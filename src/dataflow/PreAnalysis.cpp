@@ -28,13 +28,6 @@ unsigned PreAnalysisResult::totalVarsDropped() const {
   return N;
 }
 
-unsigned PreAnalysisResult::multiSliceMethods() const {
-  unsigned N = 0;
-  for (const MethodPlan &P : Plans)
-    N += P.multiSlice();
-  return N;
-}
-
 bool dataflow::abstractionReadsRetSources(const wp::DerivedAbstraction &Abs) {
   for (const wp::MethodAbstraction &M : Abs.Methods)
     for (const wp::UpdateRule &R : M.Rules)

@@ -78,8 +78,6 @@ struct MethodPlan {
   unsigned NodesUnreachable = 0;
   unsigned DeadStoresRemoved = 0;
   unsigned VarsDropped = 0;
-
-  bool multiSlice() const { return Slices.size() > 1; }
 };
 
 struct PreAnalysisResult {
@@ -93,7 +91,6 @@ struct PreAnalysisResult {
   unsigned totalEdgesPruned() const;
   unsigned totalDeadStores() const;
   unsigned totalVarsDropped() const;
-  unsigned multiSliceMethods() const;
 };
 
 /// True when any update rule of \p Abs reads a predicate over "ret" in

@@ -143,4 +143,34 @@ TEST(CJParserTest, FieldAssignmentParses) {
   EXPECT_EQ(Main->Body[0]->getKind(), CStmt::Kind::Assign);
 }
 
+TEST(CJParserTest, DuplicateClassIsAnErrorAtTheSecondDefinition) {
+  DiagnosticEngine Diags;
+  parseProgram("class A { void f() { } }\n"
+               "class A { void g() { } }\n",
+               Diags);
+  ASSERT_EQ(Diags.errorCount(), 1u) << Diags.str();
+  const Diagnostic &D = Diags.diagnostics()[0];
+  EXPECT_EQ(D.Loc.Line, 2u);
+  EXPECT_NE(D.Message.find("duplicate class 'A'"), std::string::npos)
+      << D.Message;
+}
+
+TEST(CJParserTest, DuplicateMethodIsAnErrorAtTheSecondDefinition) {
+  DiagnosticEngine Diags;
+  Program P = parseProgram("class A {\n"
+                           "  void f() { }\n"
+                           "  void g() { }\n"
+                           "  void f() { }\n"
+                           "}\n"
+                           "class B { void f() { } }\n",
+                           Diags);
+  ASSERT_EQ(Diags.errorCount(), 1u) << Diags.str();
+  const Diagnostic &D = Diags.diagnostics()[0];
+  EXPECT_EQ(D.Loc.Line, 4u);
+  EXPECT_NE(D.Message.find("duplicate method 'A::f'"), std::string::npos)
+      << D.Message;
+  // The same method name in another class is no duplicate.
+  EXPECT_EQ(P.Classes.size(), 2u);
+}
+
 } // namespace

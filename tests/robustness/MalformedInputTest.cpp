@@ -134,6 +134,26 @@ TEST(RobustnessMalformedTest, MalformedClientYieldsEmptyReportNotCrash) {
   EXPECT_EQ(R.numChecks(), 0u);
 }
 
+TEST(RobustnessMalformedTest, DuplicateMethodClientIsRejectedBeforeAnyEngine) {
+  // Two A::f would share one unit name: every certificate and store entry
+  // of the unit would fail its check. The front end refuses the client.
+  DiagnosticEngine Diags;
+  CertifierOptions Opts;
+  Opts.EmitCertificates = Opts.CheckCertificates = true;
+  Certifier C(easl::cmpSpecSource(), EngineKind::SCMPIntra, Diags, {}, Opts);
+  ASSERT_FALSE(Diags.hasErrors());
+  CertificationReport R = C.certifySource(R"(
+    class A {
+      void f() { Set s = new Set(); Iterator i = s.iterator(); i.next(); }
+      void f() { Set s = new Set(); s.add(); }
+    }
+  )",
+                                          Diags);
+  EXPECT_EQ(Diags.errorCount(), 1u) << Diags.str();
+  EXPECT_EQ(R.numChecks(), 0u);
+  EXPECT_TRUE(R.Certificates.empty());
+}
+
 TEST(RobustnessMalformedTest, DeepNestingParsesWithoutOverflow) {
   // 200 nested blocks: recursion depth must stay manageable and the
   // parser must not crash on the matching truncated variant either.

@@ -193,6 +193,30 @@ TEST_F(StoreIncrementalTest, TamperedEntryIsRejectedAndReanalyzed) {
   EXPECT_EQ(Again.str(), Cold.str());
 }
 
+TEST_F(StoreIncrementalTest, SliceSummaryOnNonSlicingEngineEntryIsRejected) {
+  // A hit reproduces the entry's slice summary as a "slicing:" report
+  // line, but only the scmp-intra engine slices: a summary on any other
+  // engine's entry is tampering, and the gate refuses it.
+  CertificationReport Cold =
+      run(TwoMethods, Opts, EngineKind::TVLAIndependent);
+  ASSERT_GE(Cold.Store.Writes, 2u);
+  {
+    store::CertStore St(Dir, store::StoreMode::ReadWrite);
+    std::vector<store::StoreEntry> All = St.listEntries();
+    ASSERT_FALSE(All.empty());
+    store::StoreEntry E = All[0];
+    ASSERT_FALSE(E.HasSummary);
+    E.HasSummary = true;
+    E.Slices = 3;
+    St.put(E);
+  }
+
+  CertificationReport Warm = run(TwoMethods, Opts, EngineKind::TVLAIndependent);
+  EXPECT_EQ(Warm.Store.Rejected, 1u);
+  EXPECT_TRUE(sawIncident(Warm, "StoreEntryInvalid"));
+  EXPECT_EQ(Warm.str(), Cold.str());
+}
+
 TEST_F(StoreIncrementalTest, InjectedStoreFaultsNeverChangeVerdicts) {
   CertifierOptions Storeless;
   const CertificationReport Baseline = run(TwoMethods, Storeless);

@@ -85,14 +85,16 @@ cmake --build --preset tsan -j "$JOBS"
 step "tsan: parallel certifier, task pool, budget, and shard scheduler"
 # The fan-out tests force Workers > 1 explicitly, so TSan sees real
 # concurrency even on single-core runners; any data race in the shared
-# CancelToken, fault-probe state, slot merging, or the certifier's
+# CancelToken, fault-probe state, the per-unit engine driver and its
+# merge (every rung's only fan-out; the report-digest suite drives it
+# with four workers for all five engines), or the certifier's
 # long-lived store (two threads on one store-enabled certifier) fails
 # the gate. The
 # shard determinism tests drive the multi-process scheduler (fork+exec
 # is TSan-safe; the fork-without-exec StoreContention tests are NOT in
 # this regex for that reason — they run under the sanitize preset).
 run_ctest --preset tsan -j "$JOBS" \
-  -R 'ParallelCertifierTest|ParallelEngineTest|TaskPoolTest|BudgetTest|ShardProtocolTest|ShardDeterminismTest|StoreSharedCertifierTest'
+  -R 'ParallelCertifierTest|ParallelEngineTest|CertifierReportDigestTest|TaskPoolTest|BudgetTest|ShardProtocolTest|ShardDeterminismTest|StoreSharedCertifierTest'
 
 step "ubsan configure + build (UBSan only)"
 cmake --preset ubsan
@@ -102,7 +104,8 @@ step "ubsan: certificate and engine suites"
 # The certificate codecs shift and mask raw bytes and the checker
 # replays engine transfer functions over untrusted payloads: run the
 # cert suite plus every engine suite under UBSan alone (no ASan
-# interposition), so integer/shift/bounds UB surfaces directly.
+# interposition), so integer/shift/bounds UB surfaces directly. The
+# 'Certifier' alternative also matches CertifierReportDigestTest.
 run_ctest --preset ubsan -j "$JOBS" \
   -R 'Cert|Checker|Boolprog|Intraprocedural|Interprocedural|Ifds|Solver|TVLA|Structure|Baseline|Certifier|Store|CrashRecovery|InputHash'
 
