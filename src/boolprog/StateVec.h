@@ -9,7 +9,7 @@
 /// (32 variables per word) so the O(E * B^2) fixpoints join and
 /// compare states word-parallel instead of per-variable, and states of
 /// up to 64 variables — almost every slice — need no heap allocation
-/// at all (see DESIGN.md "Arena / flat-structure memory architecture").
+/// at all (see DESIGN.md "Flat-structure memory architecture").
 /// The lane encoding is the ValueSet bit pattern itself (bit 0 = "may
 /// be 0", bit 1 = "may be 1"), so the lattice join is bitwise OR.
 /// Lanes past the last variable are kept zero, which makes whole-word

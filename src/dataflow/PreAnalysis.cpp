@@ -101,37 +101,28 @@ MethodPlan dataflow::preAnalyzeMethod(const cj::CFGMethod &M,
   Plan.Source = &M;
   Plan.CFG = M;
 
-  if (Opts.PruneUnreachable) {
-    PruneStats PS = pruneUnreachableEdges(Plan.CFG, Plan.OrigEdgeIndex);
-    Plan.EdgesPruned = PS.EdgesRemoved;
-    Plan.NodesUnreachable = PS.NodesUnreachable;
-    if (PS.EdgesRemoved) {
-      // Synthesize the obligations of the edges we dropped.
-      std::vector<bool> Kept(M.Edges.size(), false);
-      for (int E : Plan.OrigEdgeIndex)
-        Kept[E] = true;
-      for (size_t E = 0; E != M.Edges.size(); ++E)
-        if (!Kept[E])
-          synthesizeDroppedChecks(M.Edges[E].Act, static_cast<int>(E), M,
-                                  Abs, Plan.DroppedChecks);
-    }
-  } else {
-    Plan.OrigEdgeIndex.resize(M.Edges.size());
+  PruneStats PS = pruneUnreachableEdges(Plan.CFG, Plan.OrigEdgeIndex);
+  Plan.EdgesPruned = PS.EdgesRemoved;
+  Plan.NodesUnreachable = PS.NodesUnreachable;
+  if (PS.EdgesRemoved) {
+    // Synthesize the obligations of the edges we dropped.
+    std::vector<bool> Kept(M.Edges.size(), false);
+    for (int E : Plan.OrigEdgeIndex)
+      Kept[E] = true;
     for (size_t E = 0; E != M.Edges.size(); ++E)
-      Plan.OrigEdgeIndex[E] = static_cast<int>(E);
+      if (!Kept[E])
+        synthesizeDroppedChecks(M.Edges[E].Act, static_cast<int>(E), M, Abs,
+                                Plan.DroppedChecks);
   }
 
   CFGInfo Info(Plan.CFG);
 
-  bool HasUninitUses = false;
-  if (Opts.Lint) {
-    DefiniteAssignmentResult DA =
-        analyzeDefiniteAssignment(Plan.CFG, Info, &Abs, Opts.Cancel);
-    HasUninitUses = !DA.clean();
-    if (Findings)
-      for (UninitUse &U : DA.Uses)
-        Findings->push_back(std::move(U));
-  }
+  DefiniteAssignmentResult DA =
+      analyzeDefiniteAssignment(Plan.CFG, Info, &Abs, Opts.Cancel);
+  const bool HasUninitUses = !DA.clean();
+  if (Findings)
+    for (UninitUse &U : DA.Uses)
+      Findings->push_back(std::move(U));
 
   bool RetSources = abstractionReadsRetSources(Abs);
   if (Opts.EliminateDeadStores) {

@@ -37,8 +37,6 @@ namespace dataflow {
 struct PointsToResult;
 
 struct PreAnalysisOptions {
-  bool PruneUnreachable = true;
-  bool Lint = true;
   bool EliminateDeadStores = true;
   bool Slice = true;
   /// Optional budget handle bounding the Stage-0 fixpoints (not owned).

@@ -75,8 +75,8 @@ struct ShardRunStats {
   uint64_t StoreRejected = 0;
   uint64_t StoreQuarantined = 0;
   uint64_t StoreWrites = 0;
-  /// Store lock backoff sleeps summed over clients: the cost of
-  /// workers contending for the store lock.
+  /// Contended store lock acquisitions summed over clients: how often
+  /// workers contended for the store lock.
   uint64_t StoreLockWaits = 0;
   /// Store hits per worker pid: the cross-shard reuse evidence (warm
   /// runs must show hits from >= 2 distinct pids at >= 2 shards).

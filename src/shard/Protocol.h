@@ -91,7 +91,7 @@ struct ResultMsg {
   uint32_t StoreRejected = 0;
   uint32_t StoreQuarantined = 0;
   uint32_t StoreWrites = 0;
-  uint32_t StoreLockWaits = 0; ///< Store lock backoff sleeps.
+  uint32_t StoreLockWaits = 0; ///< Contended store lock acquisitions.
   std::vector<MethodVerdict> Methods;
 };
 

@@ -26,12 +26,10 @@
 #include <array>
 #include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <system_error>
-#include <thread>
 
 #include <fcntl.h>
 #include <sys/file.h>
@@ -267,9 +265,10 @@ std::string CertStore::quarantineDir() const { return Root + "/quarantine"; }
 std::string CertStore::journalPath() const { return Root + "/journal.log"; }
 std::string CertStore::lockPath() const { return Root + "/LOCK"; }
 
-/// Acquires the exclusive multi-process lock: a short LOCK_NB spin
-/// (counted in Stats.LockWaits so contention is observable) and then a
-/// blocking flock. Blocking indefinitely is safe here — the kernel
+/// Acquires the exclusive multi-process lock: one LOCK_NB attempt and,
+/// when another process holds the lock, one contended acquisition
+/// (counted in Stats.LockWaits so contention is observable) that blocks
+/// in flock. Blocking indefinitely is safe here — the kernel
 /// releases a dead holder's flock automatically, and every critical
 /// section is a bounded journal/commit operation, so a live holder
 /// always hands the lock over; a bounded give-up only manufactured
@@ -291,19 +290,14 @@ public:
     if (Fd < 0)
       ioError("cannot open the store lock '" + S.lockPath() +
               "': " + std::string(strerror(errno)));
-    for (unsigned Attempt = 0; Attempt < 8; ++Attempt) {
-      if (::flock(Fd, LOCK_EX | LOCK_NB) == 0) {
-        S.LockHeld = true;
-        return;
-      }
+    if (::flock(Fd, LOCK_EX | LOCK_NB) != 0) {
       if (errno != EWOULDBLOCK && errno != EINTR)
         fail();
       ++S.Stats.LockWaits;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1u << Attempt));
-    }
-    while (::flock(Fd, LOCK_EX) != 0) {
-      if (errno != EINTR)
-        fail();
+      while (::flock(Fd, LOCK_EX) != 0) {
+        if (errno != EINTR)
+          fail();
+      }
     }
     S.LockHeld = true;
   }

@@ -79,7 +79,7 @@ struct StoreStats {
                                  ///< on open (crash evidence).
   unsigned TempsRemoved = 0;     ///< Stray temp files removed on open.
   unsigned Writes = 0;           ///< Entries committed.
-  unsigned LockWaits = 0;        ///< Backoff sleeps taken while another
+  unsigned LockWaits = 0;        ///< Contended acquisitions: another
                                  ///< process held the store lock.
 };
 
@@ -103,8 +103,9 @@ struct StoreReport {
   unsigned Rejected = 0; ///< Entries the checker gate refused (evicted).
   unsigned Quarantined = 0;
   unsigned Writes = 0;
-  /// Lock backoff sleeps this run took while another process held the
-  /// store lock (StoreStats::LockWaits over its store sections).
+  /// Contended lock acquisitions this run made while another process
+  /// held the store lock (StoreStats::LockWaits over its store
+  /// sections).
   unsigned LockWaits = 0;
   std::vector<StoreIncident> Incidents;
 };
@@ -119,9 +120,9 @@ struct StoreReport {
 /// Concurrency model: one store directory may be shared by many
 /// PROCESSES (the sharded driver's workers). Every mutation — the
 /// recovery pass, each put() commit, each quarantine/evict — runs under
-/// an exclusive flock(2) on the dedicated LOCK file: a few non-blocking
-/// attempts with backoff (counted in StoreStats::LockWaits), then a
-/// blocking wait. The lock is on LOCK, not on journal.log: flock follows
+/// an exclusive flock(2) on the dedicated LOCK file: one non-blocking
+/// attempt; when that is contended (counted in StoreStats::LockWaits),
+/// a blocking wait. The lock is on LOCK, not on journal.log: flock follows
 /// the open file description's inode, and recovery replaces the journal
 /// by rename — locking a file that gets renamed lets two processes each
 /// hold "the" lock on different inodes. For the same reason LOCK is

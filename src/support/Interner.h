@@ -110,9 +110,8 @@ public:
 
   /// Interns by reference: identical to intern(), but the value is only
   /// copied when the pool admits it as new. The hot path for values
-  /// whose copy is expensive or changes ownership (arena-backed
-  /// tvla::Structure copies detach to the heap) — a hit costs zero
-  /// allocations.
+  /// whose copy is expensive (tvla::Structure copies its word buffer)
+  /// — a hit costs zero allocations.
   InternId internRef(const T &Value) {
     uint64_t H = Hash(Value);
     std::vector<InternId> &Bucket = Buckets[H];

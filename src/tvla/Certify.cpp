@@ -25,13 +25,8 @@ public:
   TVLAEngine(const easl::Spec &Spec, const DerivedAbstraction &Abs,
              const cj::CFGMethod &M, const TVLAOptions &Opts,
              DiagnosticEngine &Diags)
-      : Spec(Spec), M(M), Opts(Opts), T(Abs, M, Diags), Acc(T.makeAccum()),
-        Scratch(Opts.Cancel) {
+      : Spec(Spec), M(M), Opts(Opts), T(Abs, M, Diags), Acc(T.makeAccum()) {
     (void)this->Spec;
-    // Per-visit temporaries (edge images, snapshots, blur rebuilds) bump
-    // out of the engine-owned arena; everything that survives a visit is
-    // detached to the heap by interning / copy-assignment.
-    T.setScratchArena(&Scratch);
   }
 
   TVLAResult run() {
@@ -48,9 +43,8 @@ private:
   };
   using StructPool = support::InternPool<Structure, StructureHasher>;
 
-  /// Interns \p S (copying — and detaching any arena-backed value to
-  /// the heap — only on a genuine miss), charging the allocation budget
-  /// when the pool admits a new structure.
+  /// Interns \p S (copying only on a genuine miss), charging the
+  /// allocation budget when the pool admits a new structure.
   support::InternId internStructure(StructPool &Pool, const Structure &S) {
     size_t Before = Pool.size();
     support::InternId Id = Pool.internRef(S);
@@ -109,7 +103,6 @@ private:
       Worklist.pop_front();
       Queued[Node] = false;
       ++Result.Iterations;
-      Scratch.reset(); // Nothing arena-backed survives a visit.
 
       // Snapshot the resident ids: insertions at To == Node must not
       // be transferred in this same visit (they requeue the node).
@@ -155,7 +148,7 @@ private:
               // later dedup lookups would miss it (and a semantically
               // identical state could be admitted twice).
               support::InternId VictimId = Order[To].front();
-              Structure Joined(Pool.get(VictimId), Scratch);
+              Structure Joined = Pool.get(VictimId);
               Changed = Joined.joinWith(Pool.get(OutId), T.vocabulary());
               if (Changed) {
                 support::InternId NewId = internStructure(Pool, Joined);
@@ -215,7 +208,6 @@ private:
       Worklist.pop_front();
       Queued[Node] = false;
       ++Result.Iterations;
-      Scratch.reset();
       Result.MaxStructuresPerPoint =
           std::max(Result.MaxStructuresPerPoint, 1u);
 
@@ -277,21 +269,9 @@ private:
   Transfer T;
   CheckAccum Acc;
   TVLAResult Result;
-  /// Per-visit scratch arena (reset at each worklist pop); new block
-  /// mappings are charged to the allocation budget.
-  support::Arena Scratch;
 };
 
 } // namespace
-
-TVLAResult tvla::certifyWithTVLA(const easl::Spec &Spec,
-                                 const DerivedAbstraction &Abs,
-                                 const cj::CFGMethod &M, bool Relational,
-                                 DiagnosticEngine &Diags) {
-  TVLAOptions Opts;
-  Opts.Relational = Relational;
-  return certifyWithTVLA(Spec, Abs, M, Opts, Diags);
-}
 
 TVLAResult tvla::certifyWithTVLA(const easl::Spec &Spec,
                                  const DerivedAbstraction &Abs,

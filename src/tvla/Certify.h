@@ -79,11 +79,6 @@ struct TVLAOptions {
 /// Certifies one client method.
 TVLAResult certifyWithTVLA(const easl::Spec &Spec,
                            const wp::DerivedAbstraction &Abs,
-                           const cj::CFGMethod &M, bool Relational,
-                           DiagnosticEngine &Diags);
-
-TVLAResult certifyWithTVLA(const easl::Spec &Spec,
-                           const wp::DerivedAbstraction &Abs,
                            const cj::CFGMethod &M, const TVLAOptions &Opts,
                            DiagnosticEngine &Diags);
 

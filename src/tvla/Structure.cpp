@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <utility>
 
 using namespace canvas;
 using namespace canvas::tvla;
@@ -37,77 +38,44 @@ Structure::Structure(const tvp::Vocabulary &V) {
   L = V.Layout;
 }
 
-Structure::Structure(const tvp::Vocabulary &V, support::Arena &Scratch)
-    : Structure(V) {
-  A = &Scratch;
-}
-
 Structure::Structure(const Structure &O)
-    : L(O.L), A(nullptr), Words(O.Words), N(O.N) {
-  if (Words) {
-    W = new uint64_t[Words];
-    std::memcpy(W, O.W, Words * sizeof(uint64_t));
-  }
-}
-
-Structure::Structure(const Structure &O, support::Arena &Scratch)
-    : L(O.L), A(&Scratch), Words(O.Words), N(O.N) {
-  if (Words) {
-    W = A->allocateArray<uint64_t>(Words);
-    std::memcpy(W, O.W, Words * sizeof(uint64_t));
-  }
+    : L(O.L), W(O.Words ? new uint64_t[O.Words] : nullptr), Words(O.Words),
+      N(O.N) {
+  if (Words)
+    std::memcpy(W.get(), O.W.get(), Words * sizeof(uint64_t));
 }
 
 Structure::Structure(Structure &&O) noexcept
-    : L(O.L), A(O.A), W(O.W), Words(O.Words), N(O.N) {
-  O.W = nullptr;
-  O.Words = 0;
-  O.N = 0;
-}
+    : L(O.L), W(std::move(O.W)), Words(std::exchange(O.Words, 0)),
+      N(std::exchange(O.N, 0)) {}
 
 Structure &Structure::operator=(const Structure &O) {
   if (this == &O)
     return *this;
   L = O.L;
   if (Words != O.Words) {
-    uint64_t *NW = nullptr;
-    if (O.Words)
-      NW = A ? A->allocateArray<uint64_t>(O.Words) : new uint64_t[O.Words];
-    freeWords(W);
-    W = NW;
+    W.reset(O.Words ? new uint64_t[O.Words] : nullptr);
     Words = O.Words;
   }
   if (Words)
-    std::memcpy(W, O.W, Words * sizeof(uint64_t));
+    std::memcpy(W.get(), O.W.get(), Words * sizeof(uint64_t));
   N = O.N;
   return *this;
 }
 
 Structure &Structure::operator=(Structure &&O) noexcept {
-  if (this == &O)
-    return *this;
-  if (A == O.A) {
-    freeWords(W);
-    L = O.L;
-    W = O.W;
-    Words = O.Words;
-    N = O.N;
-    O.W = nullptr;
-    O.Words = 0;
-    O.N = 0;
-    return *this;
-  }
-  // Allocator kinds differ (e.g. a heap-owned destination receiving an
-  // arena scratch value): copy, preserving the destination's ownership
-  // guarantee — non-arena structures always own heap words.
-  return *this = static_cast<const Structure &>(O);
+  L = O.L;
+  W = std::move(O.W);
+  Words = std::exchange(O.Words, 0);
+  N = std::exchange(O.N, 0);
+  return *this;
 }
 
-uint64_t *Structure::allocWords(uint32_t Count) const {
+std::unique_ptr<uint64_t[]> Structure::allocWords(uint32_t Count) {
   if (!Count)
     return nullptr;
-  uint64_t *P = A ? A->allocateArray<uint64_t>(Count) : new uint64_t[Count];
-  std::fill_n(P, Count, kFalsePattern);
+  std::unique_ptr<uint64_t[]> P(new uint64_t[Count]);
+  std::fill_n(P.get(), Count, kFalsePattern);
   return P;
 }
 
@@ -133,7 +101,7 @@ void Structure::resizeNodes(unsigned NewN) {
   const unsigned OldN = N;
   size_t TE = totalEntries(Lay, NewN);
   uint32_t NewWords = static_cast<uint32_t>((TE + 31) / 32);
-  uint64_t *NW = allocWords(NewWords);
+  std::unique_ptr<uint64_t[]> NW = allocWords(NewWords);
 
   auto Get = [&](size_t E) {
     return static_cast<uint32_t>(W[E >> 5] >> ((E & 31) * 2)) & 3u;
@@ -162,8 +130,7 @@ void Structure::resizeNodes(unsigned NewN) {
         Put(NewBin + (static_cast<size_t>(B) * NewN + R) * NewN + C,
             Get(OldBin + (static_cast<size_t>(B) * OldN + R) * OldN + C));
 
-  freeWords(W);
-  W = NW;
+  W = std::move(NW);
   Words = NewWords;
   N = NewN;
 }
@@ -236,7 +203,7 @@ void Structure::blur(const tvp::Vocabulary &V) {
   const unsigned NewN = static_cast<unsigned>(Groups.size());
   size_t TE = totalEntries(Lay, NewN);
   uint32_t NewWords = static_cast<uint32_t>((TE + 31) / 32);
-  uint64_t *NW = allocWords(NewWords);
+  std::unique_ptr<uint64_t[]> NW = allocWords(NewWords);
   auto Put = [&](size_t E, uint32_t Val) {
     unsigned Shift = (E & 31) * 2;
     NW[E >> 5] =
@@ -277,8 +244,7 @@ void Structure::blur(const tvp::Vocabulary &V) {
         Put(NewBin + (static_cast<size_t>(B) * NewN + GI) * NewN + GJ, Acc);
       }
 
-  freeWords(W);
-  W = NW;
+  W = std::move(NW);
   Words = NewWords;
   N = NewN;
 }
@@ -318,13 +284,13 @@ std::string Structure::canonicalStr(const tvp::Vocabulary &V) const {
 
 uint64_t Structure::structuralHash() const {
   uint64_t H = support::hashMix(N);
-  return support::hashCombine(H, support::hashWords(W, Words));
+  return support::hashCombine(H, support::hashWords(W.get(), Words));
 }
 
 bool Structure::operator==(const Structure &O) const {
   return N == O.N && Words == O.Words &&
          (Words == 0 ||
-          std::memcmp(W, O.W, Words * sizeof(uint64_t)) == 0);
+          std::memcmp(W.get(), O.W.get(), Words * sizeof(uint64_t)) == 0);
 }
 
 bool Structure::isCanonical(const tvp::Vocabulary &V) const {

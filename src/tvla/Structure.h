@@ -8,8 +8,8 @@
 /// join used by the independent-attribute engine.
 ///
 /// Representation: one contiguous word buffer of 2-bit entries (the
-/// flat struct-of-arrays layout of DESIGN.md "Arena / flat-structure
-/// memory architecture"). Kleene values are stored join-encoded —
+/// flat struct-of-arrays layout of DESIGN.md "Flat-structure memory
+/// architecture"). Kleene values are stored join-encoded —
 /// False=01, True=10, Half=11 (bit0 = "may be false", bit1 = "may be
 /// true") — so kJoin is bitwise OR, whole-structure joins and blur
 /// group-folds are word-parallel OR over the buffer, and the numeric
@@ -21,11 +21,9 @@
 /// predicates in slot order (N*N row-major entries each); slots come
 /// from tvp::Vocabulary's flat-layout cache.
 ///
-/// Buffers live on the heap or in a support::Arena: scratch structures
-/// inside one fixpoint visit are arena-backed (tvla::Transfer), while
-/// copy construction/assignment into a non-arena structure always
-/// detaches to the heap, so anything stored in an InternPool or
-/// annotation owns its words.
+/// Every structure owns its buffer on the heap, so a copy (in an
+/// InternPool, an annotation or a certificate) is independent of its
+/// source, and a moved-from structure is empty and reusable.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,12 +31,12 @@
 #define CANVAS_TVLA_STRUCTURE_H
 
 #include "logic/Kleene.h"
-#include "support/Arena.h"
 #include "tvp/Program.h"
 
 #include <cassert>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,22 +49,14 @@ namespace tvla {
 class Structure {
 public:
   explicit Structure(const tvp::Vocabulary &V);
-  /// An empty structure whose buffer grows inside \p Scratch; use for
-  /// fixpoint-visit temporaries only (see file comment).
-  Structure(const tvp::Vocabulary &V, support::Arena &Scratch);
 
-  /// Copies always detach to the heap, so the copy may outlive any
-  /// arena the source lived in.
+  /// Copies are deep: they never share words with their source.
   Structure(const Structure &O);
-  /// Arena copy: a scratch duplicate of \p O inside \p Scratch.
-  Structure(const Structure &O, support::Arena &Scratch);
-  Structure(Structure &&O) noexcept;
   Structure &operator=(const Structure &O);
+  /// Moves hand the buffer over and leave \p O with no individuals,
+  /// ready for reuse.
+  Structure(Structure &&O) noexcept;
   Structure &operator=(Structure &&O) noexcept;
-  ~Structure() {
-    if (!A)
-      delete[] W;
-  }
 
   unsigned numNodes() const { return N; }
   bool isSummary(unsigned Node) const {
@@ -197,11 +187,8 @@ private:
            static_cast<size_t>(Nodes) * Nodes * L.NumBinary;
   }
 
-  uint64_t *allocWords(uint32_t Count) const;
-  void freeWords(uint64_t *Ptr) const {
-    if (!A)
-      delete[] Ptr;
-  }
+  /// A buffer of \p Count words, every entry False.
+  static std::unique_ptr<uint64_t[]> allocWords(uint32_t Count);
 
   /// Packs node \p Node's canonical key (unary abstraction predicate
   /// values, MSB-first so word comparison is lexicographic) into
@@ -222,8 +209,7 @@ private:
   /// dereference even after the source Vocabulary is destroyed, which
   /// annotation and certificate structures rely on.
   const tvp::PredLayout *L;
-  support::Arena *A = nullptr; ///< Null: W is heap-owned.
-  uint64_t *W = nullptr;
+  std::unique_ptr<uint64_t[]> W;
   uint32_t Words = 0;
   unsigned N = 0;
 };

@@ -323,7 +323,7 @@ Structure Transfer::apply(const Structure &In, int EdgeIdx, bool &Dead,
                           CheckAccum *Acc) const {
   const cj::Action &A = M.Edges[EdgeIdx].Act;
   const EdgePlan &Plan = Plans[EdgeIdx];
-  Structure S = Scratch ? Structure(In, *Scratch) : In;
+  Structure S = In;
   switch (A.K) {
   case cj::Action::Kind::Nop:
     return S;
@@ -389,7 +389,7 @@ Structure Transfer::transferComponentCall(Structure S, const EdgePlan &Plan,
 
   // 3. Instrumentation updates from the derived rules (parallel:
   // sources read the snapshot).
-  Structure Snapshot = Scratch ? Structure(S, *Scratch) : S;
+  const Structure Snapshot = S;
   for (const CompiledRule &CR : Plan.Rules) {
     unsigned Tuple[kMaxArity];
     enumerateTargets(S, Snapshot, CR, Plan, N, 0, Tuple, Bound);

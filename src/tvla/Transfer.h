@@ -84,12 +84,6 @@ public:
   Structure apply(const Structure &In, int EdgeIdx, bool &Dead,
                   CheckAccum *Acc) const;
 
-  /// Optional bump arena for apply()'s temporaries *and* its returned
-  /// structure. The owner must copy out any result it keeps (interning
-  /// and copy-assignment into heap structures both detach) and reset
-  /// the arena between fixpoint visits; see support/Arena.h.
-  void setScratchArena(support::Arena *A) { Scratch = A; }
-
 private:
   /// Maximum predicate-application arity the compiled evaluator
   /// supports (vocabulary building already treats wider families
@@ -191,7 +185,6 @@ private:
   std::vector<std::pair<int, Kleene>> Diagonals;
   std::vector<TransferCheck> Checks;
   std::vector<EdgePlan> Plans; ///< One per CFG edge.
-  support::Arena *Scratch = nullptr; ///< See setScratchArena().
 };
 
 } // namespace tvla

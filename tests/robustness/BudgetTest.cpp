@@ -143,6 +143,32 @@ TEST(RobustnessBudgetTest, TVLABudgetExhaustionDegradesDownLadder) {
   }
 }
 
+// An allocation ceiling on the relational rung alone, below what an
+// unbudgeted run interns: the relational fixpoint trips it, and the
+// ladder steps down to the unbudgeted independent-attribute engine.
+TEST(RobustnessBudgetTest, TVLAAllocationCeilingDegradesToIndependent) {
+  const CertificationReport Full =
+      certifyWith(EngineKind::TVLARelational, {});
+  ASSERT_EQ(Full.Stages.size(), 1u);
+  const uint64_t Spend = Full.Stages[0].Spend.AllocBytes;
+  ASSERT_GT(Spend, 0u);
+
+  CertifierOptions Opts;
+  Opts.EngineBudgets[EngineKind::TVLARelational].MaxAllocBytes = Spend / 2;
+  CertificationReport R = certifyWith(EngineKind::TVLARelational, Opts);
+  EXPECT_TRUE(R.Degraded);
+  EXPECT_EQ(R.EffectiveEngine, "tvla-independent") << R.str();
+  ASSERT_EQ(R.Stages.size(), 2u);
+  EXPECT_EQ(R.Stages[0].Engine, "tvla-relational");
+  EXPECT_FALSE(R.Stages[0].Completed);
+  EXPECT_NE(R.Stages[0].FailReason.find("budget-allocation"),
+            std::string::npos)
+      << R.Stages[0].FailReason;
+  EXPECT_EQ(R.Stages[1].Engine, "tvla-independent");
+  EXPECT_TRUE(R.Stages[1].Completed);
+  EXPECT_EQ(R.numChecks(), 5u);
+}
+
 TEST(RobustnessBudgetTest, InterprocDeadlineDegradesToIntra) {
   CertifierOptions Opts;
   Opts.EngineBudgets[EngineKind::SCMPInterproc].DeadlineMicros = 0.001;

@@ -224,9 +224,9 @@ TEST(StoreContentionTest, ReplacedRootLocksTheNewLockFile) {
   fs::remove_all(Snapshot);
 }
 
-// A commit that finds the store lock held backs off, and the report of
-// that certify call counts the backoff sleeps; calls that met no
-// contention report none, so the count is per call, not cumulative.
+// A commit that finds the store lock held waits for it, and the report
+// of that certify call counts the contended acquisitions; calls that met
+// no contention report none, so the count is per call, not cumulative.
 TEST(StoreContentionTest, HeldLockShowsAsReportLockWaits) {
   const std::string Dir = freshDir("report-waits");
   core::CertifierOptions Opts;

@@ -2,21 +2,19 @@
 // Differential tests for the packed 2-bit Structure representation:
 // the same operation sequences are replayed against a map-based
 // reference model (the shape of the representation the packed layout
-// replaced) and against both memory backends (heap words and
-// support::Arena scratch words), asserting every observable read,
-// canonical rendering, and structural hash agrees. The arena-detach
-// test doubles as an ASan use-after-reset regression: a copy that kept
-// pointing into arena words would read recycled memory here.
+// replaced), asserting every observable read agrees. The copy test
+// doubles as an ASan use-after-free regression: a copy that shared its
+// source's words would read freed memory once the source is destroyed.
 //===----------------------------------------------------------------------===//
 
 #include "tvla/Structure.h"
 
 #include "client/Parser.h"
 #include "easl/Builtins.h"
-#include "support/Arena.h"
 
 #include <gtest/gtest.h>
 #include <map>
+#include <memory>
 #include <random>
 
 using namespace canvas;
@@ -112,7 +110,7 @@ protected:
       }
   }
 
-  /// A deterministic pseudo-random structure for backend comparisons.
+  /// A deterministic pseudo-random structure of \p Nodes individuals.
   void fill(Structure &S, unsigned Seed, unsigned Nodes) {
     S.resizeNodes(Nodes);
     std::mt19937 Rng(Seed);
@@ -142,77 +140,67 @@ TEST_F(StructureDifferentialTest, HeapBackendMatchesMapReference) {
   }
 }
 
-TEST_F(StructureDifferentialTest, ArenaBackendMatchesMapReference) {
-  support::Arena Scratch;
-  for (unsigned Seed : {1u, 2u, 3u, 4u}) {
-    Scratch.reset();
-    Structure S(Vocab, Scratch);
-    replayAndCompare(S, Seed, /*Nodes=*/5, /*Ops=*/400);
-  }
-}
-
-TEST_F(StructureDifferentialTest, BackendsAgreeAfterBlurAndJoin) {
-  support::Arena Scratch;
-  for (unsigned Seed = 10; Seed != 16; ++Seed) {
-    Structure Heap(Vocab);
-    Structure InArena(Vocab, Scratch);
-    fill(Heap, Seed, 4);
-    fill(InArena, Seed, 4);
-
-    Heap.blur(Vocab);
-    InArena.blur(Vocab);
-    EXPECT_EQ(Heap.canonicalStr(Vocab), InArena.canonicalStr(Vocab));
-    EXPECT_EQ(Heap.structuralHash(), InArena.structuralHash());
-    EXPECT_TRUE(Heap == InArena);
-
-    // Join each with a second structure, on both backends.
-    Structure OtherH(Vocab);
-    Structure OtherA(Vocab, Scratch);
-    fill(OtherH, Seed + 100, 3);
-    fill(OtherA, Seed + 100, 3);
-    OtherH.blur(Vocab);
-    OtherA.blur(Vocab);
-    const bool ChangedH = Heap.joinWith(OtherH, Vocab);
-    const bool ChangedA = InArena.joinWith(OtherA, Vocab);
-    EXPECT_EQ(ChangedH, ChangedA);
-    EXPECT_EQ(Heap.canonicalStr(Vocab), InArena.canonicalStr(Vocab));
-    EXPECT_EQ(Heap.structuralHash(), InArena.structuralHash());
-  }
-}
-
-TEST_F(StructureDifferentialTest, CopyDetachesFromArenaBeforeReset) {
-  support::Arena Scratch;
-  Structure S(Vocab, Scratch);
+// Copies own their words: a copy-constructed, a copy-assigned (into a
+// buffer of another size and into one of the same size) and a moved
+// structure each keep the source's rendering and hash however the source
+// is then mutated, blurred or destroyed. A moved-from structure is empty
+// and reusable.
+TEST_F(StructureDifferentialTest, CopiesAreIndependentOfTheirSource) {
+  Structure S(Vocab);
   fill(S, 42, 4);
   S.blur(Vocab);
   const std::string Before = S.canonicalStr(Vocab);
   const uint64_t HashBefore = S.structuralHash();
+  auto ExpectSame = [&](const Structure &C, const char *What) {
+    EXPECT_EQ(C.canonicalStr(Vocab), Before) << What;
+    EXPECT_EQ(C.structuralHash(), HashBefore) << What;
+  };
 
-  Structure Kept(S); // Plain copy: must own heap words.
-  Scratch.reset();
-  // Stomp the recycled arena memory with unrelated scratch structures.
-  for (int I = 0; I != 8; ++I) {
-    Structure Garbage(Vocab, Scratch);
-    fill(Garbage, 1000 + I, 5);
-  }
-  EXPECT_EQ(Kept.canonicalStr(Vocab), Before);
-  EXPECT_EQ(Kept.structuralHash(), HashBefore);
+  Structure Copied(S);
+  Structure Resized(Vocab);
+  fill(Resized, 7, 2);
+  ASSERT_NE(Resized.numNodes(), S.numNodes());
+  Resized = S;
+  Structure SameSize(Vocab);
+  SameSize.resizeNodes(S.numNodes());
+  SameSize = S;
 
-  // Assignment into a heap structure detaches the same way.
-  Structure Assigned(Vocab);
-  {
-    Structure S2(Vocab, Scratch);
-    fill(S2, 42, 4);
-    S2.blur(Vocab);
-    Assigned = S2;
+  // Mutate and re-blur the source.
+  fill(S, 99, 5);
+  S.blur(Vocab);
+  S.addNode();
+  ASSERT_NE(S.canonicalStr(Vocab), Before);
+  ExpectSame(Copied, "copy-constructed");
+  ExpectSame(Resized, "copy-assigned, resized");
+  ExpectSame(SameSize, "copy-assigned, same size");
+
+  // Destroy the source of a copy.
+  auto Doomed = std::make_unique<Structure>(Copied);
+  Structure FromDoomed(*Doomed);
+  Doomed.reset();
+  ExpectSame(FromDoomed, "copy of a destroyed source");
+
+  // Move construction and move assignment hand the words over.
+  Structure Moved(std::move(Copied));
+  Structure MoveAssigned(Vocab);
+  fill(MoveAssigned, 5, 3);
+  MoveAssigned = std::move(Resized);
+  ExpectSame(Moved, "move-constructed");
+  ExpectSame(MoveAssigned, "move-assigned");
+  const Structure Empty(Vocab);
+  for (Structure *From : {&Copied, &Resized}) {
+    EXPECT_EQ(From->numNodes(), 0u);
+    EXPECT_TRUE(*From == Empty);
+    EXPECT_EQ(From->structuralHash(), Empty.structuralHash());
+    // Reusable: refilling a moved-from structure leaves the moved-to
+    // one untouched.
+    fill(*From, 42, 4);
+    From->blur(Vocab);
+    EXPECT_EQ(From->canonicalStr(Vocab), Before);
+    From->addNode();
   }
-  Scratch.reset();
-  for (int I = 0; I != 8; ++I) {
-    Structure Garbage(Vocab, Scratch);
-    fill(Garbage, 2000 + I, 5);
-  }
-  EXPECT_EQ(Assigned.canonicalStr(Vocab), Before);
-  EXPECT_EQ(Assigned.structuralHash(), HashBefore);
+  ExpectSame(Moved, "move-constructed, after source reuse");
+  ExpectSame(MoveAssigned, "move-assigned, after source reuse");
 }
 
 } // namespace

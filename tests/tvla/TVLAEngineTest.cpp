@@ -7,6 +7,7 @@
 
 #include "client/Parser.h"
 #include "easl/Builtins.h"
+#include "support/Budget.h"
 #include "tvp/Program.h"
 
 #include <gtest/gtest.h>
@@ -25,7 +26,9 @@ TVLAResult run(const char *ClientSrc, bool Relational,
   cj::Program Prog = cj::parseProgram(ClientSrc, Diags);
   cj::ClientCFG CFG = cj::buildCFG(Prog, Spec, Diags);
   EXPECT_FALSE(Diags.hasErrors()) << Diags.str();
-  return certifyWithTVLA(Spec, Abs, *CFG.mainCFG(), Relational, Diags);
+  TVLAOptions Opts;
+  Opts.Relational = Relational;
+  return certifyWithTVLA(Spec, Abs, *CFG.mainCFG(), Opts, Diags);
 }
 
 std::vector<bp::CheckOutcome> outcomes(const TVLAResult &R) {
@@ -299,6 +302,34 @@ TEST(TVLAEngineTest, CapPathIsDeterministic) {
   for (size_t I = 0; I != A.Checks.size(); ++I)
     EXPECT_EQ(A.Checks[I].Outcome, B.Checks[I].Outcome);
   EXPECT_EQ(A.Iterations, B.Iterations);
+}
+
+// The allocation ceiling bounds TVLA memory in both modes: what persists
+// is charged (interned structures in the relational engine, each newly
+// reached point's structure in the independent one), so a ceiling below
+// an unbudgeted run's spend stops the fixpoint with BudgetAllocation.
+TEST(TVLAEngineTest, AllocationCeilingStopsLoopFixpoint) {
+  for (bool Relational : {true, false}) {
+    TVLAOptions Opts;
+    Opts.Relational = Relational;
+    support::CancelToken Unlimited;
+    Opts.Cancel = &Unlimited;
+    runWithOptions(LoopyClient, Opts);
+    const uint64_t Spend = Unlimited.spend().AllocBytes;
+    ASSERT_GT(Spend, 0u) << "relational=" << Relational;
+
+    support::StageBudget B;
+    B.MaxAllocBytes = Spend / 2;
+    support::CancelToken Tight(B, "tvla");
+    Opts.Cancel = &Tight;
+    try {
+      runWithOptions(LoopyClient, Opts);
+      ADD_FAILURE() << "expected BudgetAllocation, relational=" << Relational;
+    } catch (const CertifyError &E) {
+      EXPECT_EQ(E.kind(), CertifyErrorKind::BudgetAllocation)
+          << "relational=" << Relational;
+    }
+  }
 }
 
 TEST(TVPTest, RendersTranslations) {

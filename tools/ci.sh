@@ -33,15 +33,15 @@ cmake --build --preset sanitize -j "$JOBS"
 step "sanitize test suite"
 run_ctest --preset sanitize -j "$JOBS"
 
-step "asan: tvla / boolprog / ifds / cert suites (arena + packed-word paths)"
-# The arena/flat-structure representations hand out raw word buffers
-# and recycle them per fixpoint visit, and the IFDS path-edge index is
-# raw open-addressed slot arithmetic; run the suites that exercise
-# those paths (plus their reset-reuse and differential regression
-# tests) as a named ASan pass so a use-after-reset or overflow in the
-# packed codecs is called out here, not buried in the full suite.
+step "asan: tvla / boolprog / ifds / cert suites (packed-word paths)"
+# The flat-structure representations index raw word buffers with 2-bit
+# lane arithmetic, and the IFDS path-edge index is raw open-addressed
+# slot arithmetic; run the suites that exercise those paths (plus their
+# copy-independence and differential regression tests) as a named ASan
+# pass so a use-after-free or overflow in the packed codecs is called
+# out here, not buried in the full suite.
 run_ctest --preset sanitize -j "$JOBS" \
-  -R 'Arena|StateVec|Structure|TVLA|Intraprocedural|Interprocedural|Witness|Cert|Checker|SlicePartition|Solver|Ifds'
+  -R 'StateVec|Structure|TVLA|Intraprocedural|Interprocedural|Witness|Cert|Checker|SlicePartition|Solver|Ifds'
 
 step "bench smoke: grinder tvla-relational vs committed baseline"
 # Captures a fresh BENCH_tvla line set into a scratch file (default
